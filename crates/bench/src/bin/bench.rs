@@ -164,6 +164,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use ccnuma_sim::json::quote;
 use ccnuma_sweep::matrix::MatrixSpec;
 use ccnuma_sweep::{sweep, SweepConfig};
 use ccnuma_telemetry::hub::{Hub, HubConfig};
@@ -1080,9 +1081,8 @@ fn cmd_sanitize(args: &[String]) -> ! {
 /// The `--out` findings document: counts per cell plus every full
 /// report produced this invocation.
 fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::from("{\n  \"version\": 1,\n");
-    s.push_str(&format!("  \"matrix\": \"{}\",\n", esc(dsl)));
+    s.push_str(&format!("  \"matrix\": {},\n", quote(dsl)));
     s.push_str("  \"cells\": [");
     for (i, rec) in out.records.iter().enumerate() {
         if i > 0 {
@@ -1093,8 +1093,8 @@ fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
             .map(|[r, c, l]| format!("[{r}, {c}, {l}]"))
             .unwrap_or_else(|| "null".into());
         s.push_str(&format!(
-            "\n    {{\"label\": \"{}\", \"status\": \"{}\", \"sanitize\": {counts}}}",
-            esc(&rec.label),
+            "\n    {{\"label\": {}, \"status\": \"{}\", \"sanitize\": {counts}}}",
+            quote(&rec.label),
             rec.status.name()
         ));
     }

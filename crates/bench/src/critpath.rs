@@ -10,6 +10,7 @@
 //! tolerance (default 2%) leaves room for deliberate model tuning.
 
 use ccnuma_sim::critpath::CritReport;
+use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::report::Table;
@@ -193,106 +194,46 @@ pub fn table(entries: &[CritEntry]) -> Table {
 
 /// Serializes entries as the `BENCH_critpath.json` document.
 pub fn to_json(entries: &[CritEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let nums = |ns: &[u64]| {
-        ns.iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
-             \"wall_ns\": {}, \"path\": [{}], \"whatif\": [{}]}}",
-            esc(&e.app),
-            esc(&e.problem),
+            "\n    {{\"app\": {}, \"problem\": {}, \"nprocs\": {}, \
+             \"wall_ns\": {}, \"path\": {}, \"whatif\": {}}}",
+            quote(&e.app),
+            quote(&e.problem),
             e.nprocs,
             e.wall_ns,
-            nums(&e.path),
-            nums(&e.whatif)
+            json::list(&e.path),
+            json::list(&e.whatif)
         ));
     }
     out.push_str("\n  ]\n}\n");
     out
 }
 
-/// Parses a `BENCH_critpath.json` document produced by [`to_json`]. A
-/// minimal parser for exactly that shape, like the regress harness's.
+/// Parses a `BENCH_critpath.json` document produced by [`to_json`].
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field found.
 pub fn parse(doc: &str) -> Result<Vec<CritEntry>, String> {
-    fn str_field(obj: &str, key: &str) -> Result<String, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let mut out = String::new();
-        let mut chars = obj[start..].chars();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some(c @ ('"' | '\\')) => out.push(c),
-                    _ => return Err(format!("bad escape in {key}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(format!("unterminated {key}")),
-            }
-        }
-    }
-    fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-        let pat = format!("\"{key}\": ");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let digits: String = obj[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().map_err(|_| format!("bad number for {key}"))
-    }
-    fn num_array<const N: usize>(obj: &str, key: &str) -> Result<[u64; N], String> {
-        let pat = format!("\"{key}\": [");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let end = obj[start..]
-            .find(']')
-            .ok_or_else(|| format!("unterminated {key}"))?;
-        let parts: Vec<&str> = obj[start..start + end].split(',').collect();
-        if parts.len() != N {
-            return Err(format!("expected {N} {key} values, got {}", parts.len()));
-        }
-        let mut out = [0u64; N];
-        for (slot, p) in out.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad {key} value {p:?}"))?;
-        }
-        Ok(out)
-    }
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        out.push(CritEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            wall_ns: num_field(obj, "wall_ns")?,
-            path: num_array::<7>(obj, "path")?,
-            whatif: num_array::<6>(obj, "whatif")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok(out)
+    let v = json::parse(doc)?;
+    v.field("entries", Value::as_array)?
+        .iter()
+        .map(|e| {
+            Ok(CritEntry {
+                app: e.field("app", Value::as_str)?.to_string(),
+                problem: e.field("problem", Value::as_str)?.to_string(),
+                nprocs: e.field("nprocs", Value::as_u64)? as usize,
+                wall_ns: e.field("wall_ns", Value::as_u64)?,
+                path: e.field("path", Value::as_u64s)?,
+                whatif: e.field("whatif", Value::as_u64s)?,
+            })
+        })
+        .collect()
 }
 
 /// Compares `current` against `baseline` with relative `tolerance` and
@@ -350,22 +291,6 @@ mod tests {
             path: [wall / 2, 0, wall / 8, wall / 8, 0, wall / 4, 0],
             whatif: [wall, wall * 3 / 4, wall, wall, wall * 7 / 8, wall / 2],
         }
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let entries = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
-        let doc = to_json(&entries);
-        let back = parse(&doc).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn parse_unescapes_strings() {
-        let mut e = entry("fft", 4, 1_000);
-        e.problem = "a \"quoted\" case".into();
-        let back = parse(&to_json(&[e.clone()])).unwrap();
-        assert_eq!(back[0].problem, e.problem);
     }
 
     #[test]

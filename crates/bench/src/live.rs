@@ -12,10 +12,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ccnuma_sim::json::{self, Value};
 use ccnuma_sim::live::{LIVE_CAUSES, LIVE_CLASSES};
 use ccnuma_sim::trace::GaugeSample;
 use ccnuma_sweep::events::{EventSink, ExecEvent};
 use ccnuma_sweep::store::CellStatus;
+use ccnuma_telemetry::http;
 use ccnuma_telemetry::hub::HubHandle;
 use ccnuma_telemetry::{Counter, Gauge, Histogram, RateFilter, Registry};
 
@@ -552,7 +554,7 @@ impl EpochRecord {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&escape_json(k));
+            json::escape_into(&mut out, k);
             out.push_str("\":");
             match v {
                 Some(x) => out.push_str(&format!("{x}")),
@@ -564,125 +566,36 @@ impl EpochRecord {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses one epoch record line
 /// (`{"seq":N,"t_ms":T,"metrics":{"k":v,...}}`). Returns `None` on any
 /// malformed shape — including torn trailing JSONL lines.
 pub fn parse_epoch_record(line: &str) -> Option<EpochRecord> {
-    let line = line.trim();
-    let rest = line.strip_prefix("{\"seq\":")?;
-    let comma = rest.find(',')?;
-    let seq: u64 = rest[..comma].parse().ok()?;
-    let rest = rest[comma + 1..].strip_prefix("\"t_ms\":")?;
-    let comma = rest.find(',')?;
-    let t_ms: u64 = rest[..comma].parse().ok()?;
-    let rest = rest[comma + 1..].strip_prefix("\"metrics\":{")?;
-    let body = rest.strip_suffix("}}")?;
-    let mut metrics = Vec::new();
-    if !body.is_empty() {
-        for pair in split_top_level(body) {
-            let pair = pair.trim();
-            let k = pair.strip_prefix('"')?;
-            let q = find_close_quote(k)?;
-            let key = unescape_json(&k[..q]);
-            let v = k[q + 1..].trim().strip_prefix(':')?.trim();
-            let value = if v == "null" {
-                None
-            } else {
-                Some(v.parse().ok()?)
-            };
-            metrics.push((key, value));
-        }
-    }
-    Some(EpochRecord { seq, t_ms, metrics })
+    let v = json::parse(line).ok()?;
+    let Some(Value::Object(members)) = v.get("metrics") else {
+        return None;
+    };
+    let metrics = members
+        .iter()
+        .map(|(k, x)| match x {
+            Value::Null => Some((k.clone(), None)),
+            x => Some((k.clone(), Some(x.as_f64()?))),
+        })
+        .collect::<Option<_>>()?;
+    Some(EpochRecord {
+        seq: v.get("seq")?.as_u64()?,
+        t_ms: v.get("t_ms")?.as_u64()?,
+        metrics,
+    })
 }
 
-/// Splits `"k":v,"k2":v2` on commas that are not inside a quoted key.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let (mut start, mut in_str, mut esc) = (0usize, false, false);
-    for (i, c) in s.char_indices() {
-        match c {
-            _ if esc => esc = false,
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-/// Index of the closing quote of a JSON string body starting at 0.
-fn find_close_quote(s: &str) -> Option<usize> {
-    let mut esc = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            _ if esc => esc = false,
-            '\\' => esc = true,
-            '"' => return Some(i),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Fetches `/snapshot` from a running hub over a raw TCP GET and parses
-/// the body as an epoch record.
+/// Fetches `/snapshot` from a running hub (or daemon) and parses the
+/// body as an epoch record.
 pub fn fetch_snapshot(addr: &str) -> Result<EpochRecord, String> {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    write!(
-        s,
-        "GET /snapshot HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut buf = String::new();
-    s.read_to_string(&mut buf)
-        .map_err(|e| format!("read: {e}"))?;
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .ok_or("malformed HTTP response")?;
-    parse_epoch_record(body).ok_or_else(|| format!("malformed snapshot body: {body}"))
+    let (status, body) = http::request(addr, "GET", "/snapshot", "")?;
+    if status != 200 {
+        return Err(format!("GET /snapshot: {status}: {}", body.trim()));
+    }
+    parse_epoch_record(&body).ok_or_else(|| format!("malformed snapshot body: {body}"))
 }
 
 /// Reads the last complete epoch record of a `--live-log` JSONL file,
@@ -789,14 +702,11 @@ mod tests {
         assert_eq!(rec.get("c{class=hub}"), Some(0.25));
         assert_eq!(rec.get("n"), None);
         assert_eq!(rec.metrics.len(), 4);
-    }
-
-    #[test]
-    fn epoch_record_reserializes_in_parseable_shape() {
-        let line = r#"{"seq":7,"t_ms":1250,"metrics":{"a_total":42,"b":1.5,"c{class=hub}":0.25,"n":null}}"#;
-        let rec = parse_epoch_record(line).expect("parses");
-        let back = parse_epoch_record(&rec.to_json()).expect("to_json parses back");
-        assert_eq!(back, rec);
+        assert_eq!(
+            parse_epoch_record(&rec.to_json()),
+            Some(rec),
+            "to_json parses back"
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use std::path::{Path, PathBuf};
 
+use ccnuma_sim::json::quote;
 use ccnuma_sim::sanitize::SanitizeReport;
 use ccnuma_sim::trace::{chrome_trace_file, Trace, TraceConfig};
 use scaling_study::experiments::Scale;
@@ -351,10 +352,8 @@ fn write_manifest(dir: &Path, emitted: &[String]) -> std::io::Result<()> {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "\n    \"{}\"",
-            f.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
+        s.push_str("\n    ");
+        s.push_str(&quote(f));
     }
     s.push_str("\n  ]\n}\n");
     std::fs::write(dir.join("manifest.json"), s)?;

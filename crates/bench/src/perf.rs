@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use ccnuma_sim::config::MachineConfig;
+use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::prof::{self, HostProfile};
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{execute_workload, StudyError};
@@ -235,10 +236,9 @@ pub fn profile_matrix(jobs: usize) -> Result<HostProfile, StudyError> {
 /// bump forces a baseline regeneration rather than a spurious drift
 /// report.
 pub fn to_json(reps: usize, entries: &[PerfEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = format!(
-        "{{\n  \"version\": 1,\n  \"model\": \"{}\",\n  \"reps\": {},\n  \"entries\": [",
-        esc(ccnuma_sim::MODEL_FINGERPRINT),
+        "{{\n  \"version\": 1,\n  \"model\": {},\n  \"reps\": {},\n  \"entries\": [",
+        quote(ccnuma_sim::MODEL_FINGERPRINT),
         reps
     );
     for (i, e) in entries.iter().enumerate() {
@@ -246,10 +246,10 @@ pub fn to_json(reps: usize, entries: &[PerfEntry]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
+            "\n    {{\"app\": {}, \"problem\": {}, \"nprocs\": {}, \
              \"events\": {}, \"ns_per_event\": {}}}",
-            esc(&e.app),
-            esc(&e.problem),
+            quote(&e.app),
+            quote(&e.problem),
             e.nprocs,
             e.events,
             e.ns_per_event
@@ -259,65 +259,29 @@ pub fn to_json(reps: usize, entries: &[PerfEntry]) -> String {
     out
 }
 
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-    let mut out = String::new();
-    let mut chars = obj[start..].chars();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some(c @ ('"' | '\\')) => out.push(c),
-                _ => return Err(format!("bad escape in {key}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err(format!("unterminated {key}")),
-        }
-    }
-}
-
-fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-    let digits: String = obj[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().map_err(|_| format!("bad number for {key}"))
-}
-
 /// Parses a `BENCH_engine.json` document produced by [`to_json`];
-/// returns `(model, reps, entries)`. Minimal parser for exactly that
-/// shape, like the `regress` one.
+/// returns `(model, reps, entries)`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field found.
 pub fn parse(doc: &str) -> Result<(String, usize, Vec<PerfEntry>), String> {
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let head = &doc[..entries_at];
-    let model = str_field(head, "model")?;
-    let reps = num_field(head, "reps")? as usize;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        out.push(PerfEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            events: num_field(obj, "events")?,
-            ns_per_event: num_field(obj, "ns_per_event")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok((model, reps, out))
+    let v = json::parse(doc)?;
+    let entries = v
+        .field("entries", Value::as_array)?
+        .iter()
+        .map(|e| {
+            Ok(PerfEntry {
+                app: e.field("app", Value::as_str)?.to_string(),
+                problem: e.field("problem", Value::as_str)?.to_string(),
+                nprocs: e.field("nprocs", Value::as_u64)? as usize,
+                events: e.field("events", Value::as_u64)?,
+                ns_per_event: e.field("ns_per_event", Value::as_u64)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let model = v.field("model", Value::as_str)?.to_string();
+    Ok((model, v.field("reps", Value::as_u64)? as usize, entries))
 }
 
 /// Geometric mean of the per-cell current/baseline ns-per-event ratios
@@ -441,16 +405,6 @@ mod tests {
             events,
             ns_per_event: ns,
         }
-    }
-
-    #[test]
-    fn json_roundtrips_with_model_and_reps() {
-        let entries = vec![entry("fft", 4, 10_000, 250), entry("ocean", 8, 44_000, 310)];
-        let doc = to_json(3, &entries);
-        let (model, reps, back) = parse(&doc).unwrap();
-        assert_eq!(model, ccnuma_sim::MODEL_FINGERPRINT);
-        assert_eq!(reps, 3);
-        assert_eq!(back, entries);
     }
 
     #[test]

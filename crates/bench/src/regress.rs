@@ -7,6 +7,7 @@
 //! exactly on an unchanged tree; the tolerance (default 2%) leaves room for
 //! deliberate model tuning without churning the baseline on every commit.
 
+use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{Runner, StudyError};
@@ -121,110 +122,51 @@ pub fn measure_with_jobs(jobs: usize) -> Result<Vec<RegressEntry>, StudyError> {
 
 /// Serializes entries as the `BENCH_attrib.json` document.
 pub fn to_json(entries: &[RegressEntry]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"app\": \"{}\", \"problem\": \"{}\", \"nprocs\": {}, \
+            "\n    {{\"app\": {}, \"problem\": {}, \"nprocs\": {}, \
              \"wall_ns\": {}, \"mem_stall_ns\": {}, \"queue_ns\": {}, \
-             \"misses\": {}, \"causes\": [{}]}}",
-            esc(&e.app),
-            esc(&e.problem),
+             \"misses\": {}, \"causes\": {}}}",
+            quote(&e.app),
+            quote(&e.problem),
             e.nprocs,
             e.wall_ns,
             e.mem_stall_ns,
             e.queue_ns,
             e.misses,
-            e.causes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            json::list(&e.causes)
         ));
     }
     out.push_str("\n  ]\n}\n");
     out
 }
 
-/// Parses a `BENCH_attrib.json` document produced by [`to_json`]. This is a
-/// minimal parser for exactly that shape (one object per entry, string
-/// values without embedded braces), not a general JSON reader.
+/// Parses a `BENCH_attrib.json` document produced by [`to_json`].
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field found.
 pub fn parse(doc: &str) -> Result<Vec<RegressEntry>, String> {
-    fn str_field(obj: &str, key: &str) -> Result<String, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let mut out = String::new();
-        let mut chars = obj[start..].chars();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some(c @ ('"' | '\\')) => out.push(c),
-                    _ => return Err(format!("bad escape in {key}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(format!("unterminated {key}")),
-            }
-        }
-    }
-    fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-        let pat = format!("\"{key}\": ");
-        let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-        let digits: String = obj[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().map_err(|_| format!("bad number for {key}"))
-    }
-    let entries_at = doc
-        .find("\"entries\"")
-        .ok_or_else(|| "missing entries array".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = &doc[entries_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        let causes_pat = "\"causes\": [";
-        let cstart = obj
-            .find(causes_pat)
-            .ok_or_else(|| "missing causes".to_string())?
-            + causes_pat.len();
-        let cend = obj[cstart..]
-            .find(']')
-            .ok_or_else(|| "unterminated causes".to_string())?;
-        let mut causes = [0u64; 5];
-        let parts: Vec<&str> = obj[cstart..cstart + cend].split(',').collect();
-        if parts.len() != 5 {
-            return Err(format!("expected 5 causes, got {}", parts.len()));
-        }
-        for (slot, p) in causes.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad cause count {p:?}"))?;
-        }
-        out.push(RegressEntry {
-            app: str_field(obj, "app")?,
-            problem: str_field(obj, "problem")?,
-            nprocs: num_field(obj, "nprocs")? as usize,
-            wall_ns: num_field(obj, "wall_ns")?,
-            mem_stall_ns: num_field(obj, "mem_stall_ns")?,
-            queue_ns: num_field(obj, "queue_ns")?,
-            misses: num_field(obj, "misses")?,
-            causes,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok(out)
+    let v = json::parse(doc)?;
+    v.field("entries", Value::as_array)?
+        .iter()
+        .map(|e| {
+            Ok(RegressEntry {
+                app: e.field("app", Value::as_str)?.to_string(),
+                problem: e.field("problem", Value::as_str)?.to_string(),
+                nprocs: e.field("nprocs", Value::as_u64)? as usize,
+                wall_ns: e.field("wall_ns", Value::as_u64)?,
+                mem_stall_ns: e.field("mem_stall_ns", Value::as_u64)?,
+                queue_ns: e.field("queue_ns", Value::as_u64)?,
+                misses: e.field("misses", Value::as_u64)?,
+                causes: e.field("causes", Value::as_u64s)?,
+            })
+        })
+        .collect()
 }
 
 /// Compares `current` against `baseline` with relative `tolerance` and
@@ -289,22 +231,6 @@ mod tests {
             misses: 40,
             causes: [10, 10, 5, 10, 5],
         }
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let entries = vec![entry("fft", 4, 1_000), entry("ocean", 8, 2_000)];
-        let doc = to_json(&entries);
-        let back = parse(&doc).unwrap();
-        assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn parse_unescapes_strings() {
-        let mut e = entry("fft", 4, 1_000);
-        e.problem = "a \"quoted\" case".into();
-        let back = parse(&to_json(&[e.clone()])).unwrap();
-        assert_eq!(back[0].problem, e.problem);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use ccnuma_sweep::matrix::MatrixSpec;
 use ccnuma_sweep::{sweep, SweepConfig};
+use ccnuma_telemetry::http;
 use ccnuma_telemetry::hub::{Hub, HubConfig};
 use scaling_study::runner::execute_workload;
 use study_bench::live;
@@ -123,8 +124,6 @@ fn live_log_is_parseable_and_monotone() {
 /// both agree with what the sweep did.
 #[test]
 fn endpoints_serve_real_sweep_data() {
-    use std::io::{Read, Write};
-
     let dir = temp_dir("http");
     let matrix = MatrixSpec::parse("apps=fft versions=orig procs=2").unwrap();
     let wiring = live::Wiring::start(Duration::from_millis(5));
@@ -148,15 +147,8 @@ fn endpoints_serve_real_sweep_data() {
     // One refresher epoch so the registry has mirrored the final state.
     std::thread::sleep(Duration::from_millis(30));
 
-    let mut s = std::net::TcpStream::connect(addr).unwrap();
-    write!(
-        s,
-        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut metrics = String::new();
-    s.read_to_string(&mut metrics).unwrap();
-    assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
+    let (status, metrics) = http::request(&addr.to_string(), "GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200, "{metrics}");
     assert!(
         metrics.contains("# TYPE sim_events_total counter"),
         "{metrics}"

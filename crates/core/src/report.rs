@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use ccnuma_sim::json::{self, quote};
+
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -325,20 +327,6 @@ pub fn phase_attribution_table(stats: &ccnuma_sim::stats::RunStats) -> Table {
     t
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a run's attribution data — stall breakdown by resource,
 /// miss-cause mix, and per-structure sharing hot spots — as a small
 /// self-contained JSON document (no external dependencies).
@@ -350,8 +338,8 @@ pub fn attrib_json(label: &str, stats: &ccnuma_sim::stats::RunStats) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\n");
     s.push_str(&format!(
-        "  \"version\": 1,\n  \"label\": \"{}\",\n",
-        json_escape(label)
+        "  \"version\": 1,\n  \"label\": {},\n",
+        quote(label)
     ));
     s.push_str(&format!("  \"wall_ns\": {},\n", stats.wall_ns));
     s.push_str(&format!(
@@ -396,14 +384,10 @@ pub fn attrib_json(label: &str, stats: &ccnuma_sim::stats::RunStats) -> String {
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"stall_ns\": {}, \"cause_misses\": [{}], \"hot_lines\": [",
-            json_escape(&r.name),
+            "\n    {{\"name\": {}, \"stall_ns\": {}, \"cause_misses\": {}, \"hot_lines\": [",
+            quote(&r.name),
             r.stall_ns,
-            r.cause_misses
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            json::list(&r.cause_misses)
         ));
         for (j, h) in r.sharing_hot.iter().enumerate() {
             if j > 0 {
@@ -457,25 +441,21 @@ pub fn sanitize_table(rows: &[(String, String, usize, [u64; 3])]) -> Table {
 pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) -> String {
     let access = |a: &ccnuma_sim::sanitize::AccessInfo| {
         format!(
-            "{{\"proc\": {}, \"phase\": \"{}\", \"addr\": {}, \"bytes\": {}, \
-             \"is_write\": {}, \"locks\": [{}]}}",
+            "{{\"proc\": {}, \"phase\": {}, \"addr\": {}, \"bytes\": {}, \
+             \"is_write\": {}, \"locks\": {}}}",
             a.proc,
-            json_escape(&a.phase),
+            quote(&a.phase),
             a.addr,
             a.bytes,
             a.is_write,
-            a.locks
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            json::list(&a.locks)
         )
     };
     let mut s = String::with_capacity(512);
     s.push_str("{\n");
     s.push_str(&format!(
-        "  \"version\": 1,\n  \"label\": \"{}\",\n",
-        json_escape(label)
+        "  \"version\": 1,\n  \"label\": {},\n",
+        quote(label)
     ));
     s.push_str(&format!(
         "  \"granularity\": \"{}\",\n",
@@ -499,14 +479,7 @@ pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) ->
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "\n    [{}]",
-            c.locks
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        s.push_str(&format!("\n    {}", json::list(&c.locks)));
     }
     s.push_str("\n  ],\n  \"lints\": [");
     for (i, l) in rep.lints.iter().enumerate() {
@@ -514,9 +487,9 @@ pub fn sanitize_json(label: &str, rep: &ccnuma_sim::sanitize::SanitizeReport) ->
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"kind\": \"{}\", \"message\": \"{}\"}}",
+            "\n    {{\"kind\": \"{}\", \"message\": {}}}",
             l.kind.name(),
-            json_escape(&l.message)
+            quote(&l.message)
         ));
     }
     s.push_str("\n  ]\n}\n");
@@ -585,25 +558,19 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
             b.sem_wait_ns
         )
     };
-    let nums = |ns: &[u64]| {
-        ns.iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     let mut s = String::with_capacity(1024);
     s.push_str("{\n");
     s.push_str(&format!(
-        "  \"version\": 1,\n  \"label\": \"{}\",\n  \"wall_ns\": {},\n",
-        json_escape(label),
+        "  \"version\": 1,\n  \"label\": {},\n  \"wall_ns\": {},\n",
+        quote(label),
         rep.wall_ns
     ));
     s.push_str(&format!("  \"total\": {},\n", buckets(&rep.total)));
     s.push_str(&format!(
-        "  \"mem_cause_ns\": [{}],\n  \"mem_queue_ns\": [{}],\n  \"mem_service_ns\": [{}],\n",
-        nums(&rep.mem_cause_ns),
-        nums(&rep.mem_queue_ns),
-        nums(&rep.mem_service_ns)
+        "  \"mem_cause_ns\": {},\n  \"mem_queue_ns\": {},\n  \"mem_service_ns\": {},\n",
+        json::list(&rep.mem_cause_ns),
+        json::list(&rep.mem_queue_ns),
+        json::list(&rep.mem_service_ns)
     ));
     s.push_str("  \"phases\": [");
     for (i, ph) in rep.phases.iter().enumerate() {
@@ -611,8 +578,8 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"path\": {}}}",
-            json_escape(&ph.name),
+            "\n    {{\"name\": {}, \"path\": {}}}",
+            quote(&ph.name),
             buckets(&ph.path)
         ));
     }
@@ -622,8 +589,8 @@ pub fn critpath_json(label: &str, rep: &ccnuma_sim::critpath::CritReport) -> Str
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"scenario\": \"{}\", \"wall_ns\": {}}}",
-            json_escape(&w.name),
+            "\n    {{\"scenario\": {}, \"wall_ns\": {}}}",
+            quote(&w.name),
             w.wall_ns
         ));
     }
@@ -840,9 +807,7 @@ mod tests {
         assert!(j.contains("\"cold\": {\"misses\": 6, \"stall_ns\": 100}"));
         assert!(j.contains("\"cause_misses\": [6, 3, 2, 3, 1]"));
         assert!(j.contains("\"pairs\": [[0, 1, 3], [0, 2, 1]]"));
-        // Balanced braces/brackets (no nested strings with braces here).
-        let bal = |open, close| j.matches(open).count() == j.matches(close).count();
-        assert!(bal('{', '}') && bal('[', ']'), "{j}");
+        assert!(json::parse(&j).is_ok(), "{j}");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! the critical-path profiler ([`crate::critpath`]). They all speak the
 //! same dialect: an object-form document `{"traceEvents":[…],
 //! "displayTimeUnit":"ns"}` whose timestamps are fractional microseconds.
-//! This module owns that dialect — the number/string formatting and the
-//! document framing — so the emitters cannot drift apart in escaping or
-//! field format.
+//! This module owns that dialect — the number formatting and the document
+//! framing — so the emitters cannot drift apart in field format; strings
+//! are escaped by [`crate::json`].
 
+use crate::json::quote;
 use crate::time::Ns;
 
 /// Nanoseconds → microseconds with fractional part, as Chrome expects.
@@ -18,25 +19,6 @@ pub fn us(ns: Ns) -> String {
     } else {
         format!("{}.{:03}", ns / 1000, ns % 1000)
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// An in-progress Chrome trace-event document: the `traceEvents` array
@@ -66,13 +48,6 @@ impl ChromeDoc {
         self.buf.push_str(ev);
     }
 
-    /// Borrows the raw `(first, buffer)` pair for emitters that append
-    /// event streams themselves (e.g.
-    /// [`Trace::write_chrome_events`](crate::trace::Trace::write_chrome_events)).
-    pub fn parts(&mut self) -> (&mut bool, &mut String) {
-        (&mut self.first, &mut self.buf)
-    }
-
     /// Closes the `traceEvents` array and the document, returning the
     /// complete JSON text.
     pub fn finish(mut self) -> String {
@@ -87,7 +62,7 @@ impl ChromeDoc {
         self.event(&format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":{}}}}}",
-            json_str(name)
+            quote(name)
         ));
     }
 
@@ -97,7 +72,7 @@ impl ChromeDoc {
         self.event(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"name\":{}}}}}",
-            json_str(name)
+            quote(name)
         ));
     }
 }
@@ -112,14 +87,6 @@ mod tests {
         assert_eq!(us(2000), "2");
         assert_eq!(us(2050), "2.050");
         assert_eq!(us(7), "0.007");
-    }
-
-    #[test]
-    fn json_str_escapes_specials() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\n\t"), "\"x\\n\\t\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

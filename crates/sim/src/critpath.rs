@@ -37,7 +37,8 @@
 //! timing, statistics, or run identity.
 
 use crate::attrib::{cause_slot_name, LatencyBreakdown, ResourceClass, CAUSE_SLOTS};
-use crate::chrome::{json_str, us, ChromeDoc};
+use crate::chrome::{us, ChromeDoc};
+use crate::json::quote;
 use crate::time::Ns;
 
 /// Sentinel item index meaning "the beginning of time" (the referenced
@@ -885,32 +886,17 @@ impl CritReport {
     /// event stream, one track per processor; pairs with the trace
     /// emitters' [`write_chrome_events`](crate::trace::Trace::write_chrome_events)
     /// so a run's trace and its path highlight load side by side.
-    pub fn write_chrome_events(&self, pid: u32, label: &str, first: &mut bool, out: &mut String) {
-        let mut emit = |ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&ev);
-        };
-        emit(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_str(&format!("critical path: {label}"))
-        ));
+    pub fn write_chrome_events(&self, pid: u32, label: &str, doc: &mut ChromeDoc) {
+        doc.process_name(pid, &format!("critical path: {label}"));
         let nprocs = self.segments.iter().map(|s| s.proc + 1).max().unwrap_or(0);
         for tid in 0..nprocs {
-            emit(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                json_str(&format!("proc {tid}"))
-            ));
+            doc.thread_name(pid, tid as u32, &format!("proc {tid}"));
         }
         for s in &self.segments {
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":{},\"cat\":\"critpath\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{pid},\"tid\":{},\"args\":{{\"dur_ns\":{}}}}}",
-                json_str(s.kind.name()),
+                quote(s.kind.name()),
                 us(s.start),
                 us(s.end - s.start),
                 s.proc,
@@ -922,8 +908,7 @@ impl CritReport {
     /// The path highlight as a standalone Chrome trace-event document.
     pub fn to_chrome_json(&self, label: &str) -> String {
         let mut doc = ChromeDoc::new();
-        let (first, out) = doc.parts();
-        self.write_chrome_events(0, label, first, out);
+        self.write_chrome_events(0, label, &mut doc);
         doc.finish()
     }
 

@@ -101,6 +101,7 @@ pub mod critpath;
 pub mod ctx;
 pub mod directory;
 pub mod error;
+pub mod json;
 pub mod latency;
 pub mod live;
 pub mod machine;

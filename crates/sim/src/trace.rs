@@ -19,8 +19,9 @@
 //! The result is a [`Trace`], exportable as Chrome trace-event JSON
 //! (loadable in Perfetto or `chrome://tracing`).
 
-use crate::chrome::{json_str, us, ChromeDoc};
+use crate::chrome::{us, ChromeDoc};
 use crate::contend::ResourceTotals;
+use crate::json::quote;
 use crate::time::Ns;
 
 /// Tracing knobs, carried on [`MachineConfig`](crate::config::MachineConfig).
@@ -545,28 +546,14 @@ impl Trace {
     /// loadable in Perfetto or `chrome://tracing`.
     pub fn to_chrome_json(&self, label: &str) -> String {
         let mut doc = ChromeDoc::new();
-        {
-            let (first, out) = doc.parts();
-            self.write_chrome_events(0, label, first, out);
-        }
+        self.write_chrome_events(0, label, &mut doc);
         doc.finish()
     }
 
     /// Appends this trace's events (as process `pid`) to a merged event
     /// stream; used to bundle several runs into one trace file.
-    pub fn write_chrome_events(&self, pid: u32, label: &str, first: &mut bool, out: &mut String) {
-        let mut emit = |ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&ev);
-        };
-        emit(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_str(label)
-        ));
+    pub fn write_chrome_events(&self, pid: u32, label: &str, doc: &mut ChromeDoc) {
+        doc.process_name(pid, label);
         let nprocs = self.nprocs();
         for tid in 0..self.spans.len() {
             let name = if tid == nprocs {
@@ -574,11 +561,7 @@ impl Trace {
             } else {
                 format!("proc {tid}")
             };
-            emit(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                json_str(&name)
-            ));
+            doc.thread_name(pid, tid as u32, &name);
         }
         for (tid, track) in self.spans.iter().enumerate() {
             for s in track {
@@ -591,11 +574,11 @@ impl Trace {
                         .cloned()
                         .unwrap_or_else(|| "?".into()),
                 };
-                emit(format!(
+                doc.event(&format!(
                     "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                      \"pid\":{pid},\"tid\":{tid},\"args\":{{\"kind\":\"{}\",\"dur_ns\":{}}}}}",
-                    json_str(&name),
-                    json_str(s.kind.category()),
+                    quote(&name),
+                    quote(s.kind.category()),
                     us(s.start),
                     us(s.end - s.start),
                     s.kind.name(),
@@ -604,23 +587,23 @@ impl Trace {
             }
         }
         for i in &self.instants {
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\
                  \"tid\":{},\"args\":{{\"value\":{}}}}}",
-                json_str(i.kind.name()),
+                quote(i.kind.name()),
                 us(i.t),
                 i.proc,
                 i.value,
             ));
         }
         for g in &self.gauges {
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":\"miss rate %\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"pct\":{:.3}}}}}",
                 us(g.t),
                 g.miss_pct
             ));
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":\"occupancy %\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"hub\":{:.3},\"mem\":{:.3},\"router\":{:.3}}}}}",
                 us(g.t),
@@ -628,20 +611,20 @@ impl Trace {
                 g.mem_occ_pct,
                 g.router_occ_pct
             ));
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":\"outstanding misses\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\
                  \"tid\":0,\"args\":{{\"avg\":{:.3}}}}}",
                 us(g.t),
                 g.outstanding
             ));
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":\"miss causes %\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"coherence\":{:.3},\"false_share\":{:.3}}}}}",
                 us(g.t),
                 g.coherence_pct,
                 g.false_share_pct
             ));
-            emit(format!(
+            doc.event(&format!(
                 "{{\"name\":\"stall queueing %\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"pct\":{:.3}}}}}",
                 us(g.t),
@@ -655,11 +638,8 @@ impl Trace {
 /// per process row.
 pub fn chrome_trace_file(traces: &[(String, &Trace)]) -> String {
     let mut doc = ChromeDoc::new();
-    {
-        let (first, out) = doc.parts();
-        for (pid, (label, trace)) in traces.iter().enumerate() {
-            trace.write_chrome_events(pid as u32, label, first, out);
-        }
+    for (pid, (label, trace)) in traces.iter().enumerate() {
+        trace.write_chrome_events(pid as u32, label, &mut doc);
     }
     doc.finish()
 }
@@ -826,38 +806,12 @@ mod tests {
         assert!(json.contains("\"barrier 7\""));
         assert!(json.contains("\"ts\":1.500")); // 1500 ns = 1.5 µs
         assert!(json.contains("\"inval-burst\""));
-        // Balanced braces/brackets outside strings ⇒ parses as one object.
-        let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-        for c in json.chars() {
-            if in_str {
-                if esc {
-                    esc = false;
-                } else if c == '\\' {
-                    esc = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
-    }
-
-    #[test]
-    fn us_formats_exact_and_fractional() {
-        // `us` lives in the shared chrome module now; this pins the
-        // re-exported behavior the trace emitter depends on.
-        assert_eq!(us(0), "0");
-        assert_eq!(us(2000), "2");
-        assert_eq!(us(2050), "2.050");
-        assert_eq!(us(7), "0.007");
+        let doc = crate::json::parse(&json).expect("one JSON document");
+        let events = doc
+            .field("traceEvents", crate::json::Value::as_array)
+            .unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.get("name") == Some(&crate::json::Value::Str("ph\"ase\n".into()))));
     }
 }

@@ -4,6 +4,7 @@
 //! totals must reconcile with [`ProcStats`], and the Chrome trace-event
 //! export must be structurally sound and deterministic.
 
+use ccnuma_sim::json::Value;
 use ccnuma_sim::prelude::*;
 
 fn run_phased(nprocs: usize) -> RunStats {
@@ -131,29 +132,11 @@ fn chrome_export_is_sound_and_deterministic() {
     ] {
         assert!(ja.contains(needle), "missing {needle}");
     }
-    // Balanced braces/brackets outside of string literals.
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for c in ja.chars() {
-        if esc {
-            esc = false;
-        } else if in_str {
-            match c {
-                '\\' => esc = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-        } else {
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-    }
-    assert_eq!(depth, 0, "unbalanced JSON nesting");
-    assert!(!in_str, "unterminated string");
+    let doc = ccnuma_sim::json::parse(&ja).expect("one JSON document");
+    let events = doc.field("traceEvents", Value::as_array).unwrap();
+    assert!(events
+        .iter()
+        .all(|e| e.get("ph").and_then(Value::as_str).is_some()));
 }
 
 #[test]

@@ -10,6 +10,8 @@
 
 use std::sync::Arc;
 
+use ccnuma_sim::json::quote;
+
 use crate::store::CellStatus;
 
 /// One per-cell lifecycle transition.
@@ -60,11 +62,10 @@ impl ExecEvent {
     /// A compact JSON rendering (used verbatim as SSE `cell` event
     /// payloads).
     pub fn to_json(&self) -> String {
-        let esc = crate::store::esc;
         match self {
             ExecEvent::Started { label, nprocs } => format!(
-                "{{\"kind\":\"started\",\"label\":\"{}\",\"nprocs\":{}}}",
-                esc(label),
+                "{{\"kind\":\"started\",\"label\":{},\"nprocs\":{}}}",
+                quote(label),
                 nprocs
             ),
             ExecEvent::Retried {
@@ -72,10 +73,10 @@ impl ExecEvent {
                 attempt,
                 error,
             } => format!(
-                "{{\"kind\":\"retried\",\"label\":\"{}\",\"attempt\":{},\"error\":\"{}\"}}",
-                esc(label),
+                "{{\"kind\":\"retried\",\"label\":{},\"attempt\":{},\"error\":{}}}",
+                quote(label),
                 attempt,
-                esc(error)
+                quote(error)
             ),
             ExecEvent::Finished {
                 label,
@@ -84,8 +85,8 @@ impl ExecEvent {
                 attempts,
                 host_ms,
             } => format!(
-                "{{\"kind\":\"finished\",\"label\":\"{}\",\"status\":\"{}\",\"cache_hit\":{},\"attempts\":{},\"host_ms\":{}}}",
-                esc(label),
+                "{{\"kind\":\"finished\",\"label\":{},\"status\":\"{}\",\"cache_hit\":{},\"attempts\":{},\"host_ms\":{}}}",
+                quote(label),
                 status.name(),
                 cache_hit,
                 attempts,

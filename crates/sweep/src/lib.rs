@@ -29,6 +29,10 @@ pub mod pool;
 pub mod run;
 pub mod store;
 
+/// The JSON reader and escaper the store is written with, re-exported
+/// for crates (the daemon) that reach the simulator only through here.
+pub use ccnuma_sim::json;
+
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

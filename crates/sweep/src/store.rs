@@ -15,13 +15,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
+use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
 
 /// Terminal state of one cell attempt sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
     /// Ran and verified.
+    #[default]
     Ok,
     /// Panicked on every attempt — quarantined.
     Panicked,
@@ -62,7 +64,7 @@ impl CellStatus {
 }
 
 /// One finished cell, as persisted in the store.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct CellRecord {
     /// [`RunKey::hash_hex`](crate::key::RunKey::hash_hex) — the cache key.
     pub key: String,
@@ -113,28 +115,6 @@ pub struct CellRecord {
     pub error: Option<String>,
 }
 
-/// Escapes a string for embedding in a JSON line. Control characters
-/// must not survive literally: a raw `\n` in an error message would
-/// split the record across two physical lines and break the
-/// one-record-per-line invariant the crash-safety analysis relies on.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl CellRecord {
     /// Speedup over the sequential baseline (0.0 for failed cells).
     pub fn speedup(&self) -> f64 {
@@ -162,18 +142,18 @@ impl CellRecord {
     /// Serializes the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut s = format!(
-            "{{\"key\": \"{}\", \"label\": \"{}\", \"app\": \"{}\", \"version\": \"{}\", \
-             \"problem\": \"{}\", \"nprocs\": {}, \"scale\": \"{}\", \"status\": \"{}\", \
+            "{{\"key\": {}, \"label\": {}, \"app\": {}, \"version\": {}, \
+             \"problem\": {}, \"nprocs\": {}, \"scale\": {}, \"status\": \"{}\", \
              \"attempts\": {}, \"host_ms\": {}, \"wall_ns\": {}, \"seq_ns\": {}, \
              \"busy_ns\": {}, \"mem_ns\": {}, \"sync_ns\": {}, \"misses\": {}, \
-             \"events\": {}, \"causes\": [{}]",
-            esc(&self.key),
-            esc(&self.label),
-            esc(&self.app),
-            esc(&self.version),
-            esc(&self.problem),
+             \"events\": {}, \"causes\": {}",
+            quote(&self.key),
+            quote(&self.label),
+            quote(&self.app),
+            quote(&self.version),
+            quote(&self.problem),
             self.nprocs,
-            esc(&self.scale),
+            quote(&self.scale),
             self.status.name(),
             self.attempts,
             self.host_ms,
@@ -184,11 +164,7 @@ impl CellRecord {
             self.sync_ns,
             self.misses,
             self.events,
-            self.causes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
+            json::list(&self.causes),
         );
         if let Some([r, c, l]) = self.sanitize {
             s.push_str(&format!(", \"sanitize\": [{r}, {c}, {l}]"));
@@ -197,149 +173,65 @@ impl CellRecord {
             s.push_str(&format!(", \"critpath\": [{b}, {m}, {y}]"));
         }
         if let Some(e) = &self.error {
-            s.push_str(&format!(", \"error\": \"{}\"", esc(e)));
+            s.push_str(", \"error\": ");
+            s.push_str(&quote(e));
         }
         s.push('}');
         s
     }
 
     /// Parses one JSONL line produced by [`CellRecord::to_json_line`].
-    /// A minimal parser for exactly that shape, like the regress
-    /// harness's — not a general JSON reader.
     ///
     /// # Errors
     ///
-    /// Describes the first malformed field.
+    /// Describes the first malformed field (or the JSON syntax error).
     pub fn parse_line(line: &str) -> Result<CellRecord, String> {
-        fn str_field(obj: &str, key: &str) -> Result<String, String> {
-            let pat = format!("\"{key}\": \"");
-            let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-            let mut out = String::new();
-            let mut chars = obj[start..].chars();
-            loop {
-                match chars.next() {
-                    Some('"') => return Ok(out),
-                    Some('\\') => match chars.next() {
-                        Some(c @ ('"' | '\\')) => out.push(c),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('u') => {
-                            let hex: String = chars.by_ref().take(4).collect();
-                            let c = (hex.len() == 4)
-                                .then(|| u32::from_str_radix(&hex, 16).ok())
-                                .flatten()
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape in {key}"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape in {key}")),
-                    },
-                    Some(c) => out.push(c),
-                    None => return Err(format!("unterminated {key}")),
-                }
-            }
-        }
-        fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-            let pat = format!("\"{key}\": ");
-            let start = obj.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-            let digits: String = obj[start..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().map_err(|_| format!("bad number for {key}"))
-        }
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("not a JSON object line".into());
-        }
-        let status_name = str_field(line, "status")?;
-        let status = CellStatus::from_name(&status_name)
+        CellRecord::from_value(&json::parse(line)?)
+    }
+
+    /// Reads a record from a parsed store line (or a record embedded in
+    /// a larger document, such as the daemon's job JSON). Unknown
+    /// fields are ignored; `events` is absent in stores written before
+    /// it existed.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or malformed field.
+    pub fn from_value(v: &Value) -> Result<CellRecord, String> {
+        let text = |key| v.field(key, Value::as_str).map(str::to_string);
+        let triple = |key| {
+            v.get(key)
+                .map(|_| v.field(key, Value::as_u64s::<3>))
+                .transpose()
+        };
+        let status_name = v.field("status", Value::as_str)?;
+        let status = CellStatus::from_name(status_name)
             .ok_or_else(|| format!("unknown status {status_name:?}"))?;
-        let causes_pat = "\"causes\": [";
-        let cstart = line
-            .find(causes_pat)
-            .ok_or_else(|| "missing causes".to_string())?
-            + causes_pat.len();
-        let cend = line[cstart..]
-            .find(']')
-            .ok_or_else(|| "unterminated causes".to_string())?;
-        let parts: Vec<&str> = line[cstart..cstart + cend].split(',').collect();
-        if parts.len() != 5 {
-            return Err(format!("expected 5 causes, got {}", parts.len()));
-        }
-        let mut causes = [0u64; 5];
-        for (slot, p) in causes.iter_mut().zip(parts) {
-            *slot = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad cause count {p:?}"))?;
-        }
-        let sanitize = match line.find("\"sanitize\": [") {
-            None => None,
-            Some(pos) => {
-                let sstart = pos + "\"sanitize\": [".len();
-                let send = line[sstart..]
-                    .find(']')
-                    .ok_or_else(|| "unterminated sanitize".to_string())?;
-                let parts: Vec<&str> = line[sstart..sstart + send].split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected 3 sanitize counts, got {}", parts.len()));
-                }
-                let mut counts = [0u64; 3];
-                for (slot, p) in counts.iter_mut().zip(parts) {
-                    *slot = p
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad sanitize count {p:?}"))?;
-                }
-                Some(counts)
-            }
-        };
-        let critpath = match line.find("\"critpath\": [") {
-            None => None,
-            Some(pos) => {
-                let cstart = pos + "\"critpath\": [".len();
-                let cend = line[cstart..]
-                    .find(']')
-                    .ok_or_else(|| "unterminated critpath".to_string())?;
-                let parts: Vec<&str> = line[cstart..cstart + cend].split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected 3 critpath times, got {}", parts.len()));
-                }
-                let mut times = [0u64; 3];
-                for (slot, p) in times.iter_mut().zip(parts) {
-                    *slot = p
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad critpath time {p:?}"))?;
-                }
-                Some(times)
-            }
-        };
         Ok(CellRecord {
-            key: str_field(line, "key")?,
-            label: str_field(line, "label")?,
-            app: str_field(line, "app")?,
-            version: str_field(line, "version")?,
-            problem: str_field(line, "problem")?,
-            nprocs: num_field(line, "nprocs")? as usize,
-            scale: str_field(line, "scale")?,
+            key: text("key")?,
+            label: text("label")?,
+            app: text("app")?,
+            version: text("version")?,
+            problem: text("problem")?,
+            nprocs: v.field("nprocs", Value::as_u64)? as usize,
+            scale: text("scale")?,
             status,
-            attempts: num_field(line, "attempts")? as u32,
-            host_ms: num_field(line, "host_ms")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            seq_ns: num_field(line, "seq_ns")?,
-            busy_ns: num_field(line, "busy_ns")?,
-            mem_ns: num_field(line, "mem_ns")?,
-            sync_ns: num_field(line, "sync_ns")?,
-            misses: num_field(line, "misses")?,
-            // Absent in stores written before the field existed.
-            events: num_field(line, "events").unwrap_or(0),
-            causes,
-            sanitize,
-            critpath,
-            error: str_field(line, "error").ok(),
+            attempts: v.field("attempts", Value::as_u64)? as u32,
+            host_ms: v.field("host_ms", Value::as_u64)?,
+            wall_ns: v.field("wall_ns", Value::as_u64)?,
+            seq_ns: v.field("seq_ns", Value::as_u64)?,
+            busy_ns: v.field("busy_ns", Value::as_u64)?,
+            mem_ns: v.field("mem_ns", Value::as_u64)?,
+            sync_ns: v.field("sync_ns", Value::as_u64)?,
+            misses: v.field("misses", Value::as_u64)?,
+            events: v
+                .get("events")
+                .map_or(Some(0), Value::as_u64)
+                .ok_or("bad events")?,
+            causes: v.field("causes", Value::as_u64s)?,
+            sanitize: triple("sanitize")?,
+            critpath: triple("critpath")?,
+            error: v.get("error").map(|_| text("error")).transpose()?,
         })
     }
 }
@@ -696,17 +588,6 @@ mod tests {
             let back = CellRecord::parse_line(&r.to_json_line()).unwrap();
             assert_eq!(back, r);
         }
-    }
-
-    #[test]
-    fn control_characters_round_trip_on_one_line() {
-        let mut r = record("ctl", CellStatus::Failed);
-        r.error = Some("panicked at 'boom':\n\tline two\r\u{1}end".into());
-        r.problem = "multi\nline \"problem\"".into();
-        let line = r.to_json_line();
-        assert!(!line.contains('\n'), "record must stay on one line: {line}");
-        assert!(!line.contains('\r'), "record must stay on one line: {line}");
-        assert_eq!(CellRecord::parse_line(&line).unwrap(), r);
     }
 
     #[test]

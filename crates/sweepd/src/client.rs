@@ -1,14 +1,14 @@
 //! A small blocking client for the daemon, used by `bench submit` and
-//! the integration tests: raw `TcpStream` HTTP plus parsers for the
-//! daemon's JSON shapes (records are parsed by the store's own
-//! [`CellRecord::parse_line`], so a fetched record round-trips
+//! the integration tests: [`request`] round trips plus readers for the
+//! daemon's JSON shapes (records are read by the store's own
+//! [`CellRecord::from_value`], so a fetched record round-trips
 //! bit-identically).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
+use ccnuma_sweep::json::{self, Value};
 use ccnuma_sweep::store::CellRecord;
+pub use ccnuma_telemetry::http::request;
 
 /// What `POST /sweep` answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,38 +49,6 @@ pub struct JobStatus {
     pub records: Vec<Option<CellRecord>>,
 }
 
-/// One raw HTTP round trip. Returns `(status code, body)`.
-///
-/// # Errors
-///
-/// Connection or read failures, or an unparsable response head.
-pub fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: sweepd\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .map_err(|e| format!("sending request: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("reading response: {e}"))?;
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split_whitespace().next())
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| format!("unparsable response head: {:?}", raw.lines().next()))?;
-    let body = match raw.find("\r\n\r\n") {
-        Some(i) => raw[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
-}
-
 /// A GET returning the body on 200, or the error body otherwise.
 ///
 /// # Errors
@@ -105,13 +73,14 @@ pub fn submit(addr: &str, dsl: &str) -> Result<SubmitResponse, String> {
     if status != 200 {
         return Err(format!("submit rejected ({status}): {}", body.trim()));
     }
+    let v = json::parse(&body)?;
     Ok(SubmitResponse {
-        job: num_field(&body, "job")?,
-        cells: num_field(&body, "cells")? as usize,
-        cached: num_field(&body, "cached")? as usize,
-        enqueued: num_field(&body, "enqueued")? as usize,
-        pending: num_field(&body, "pending")? as usize,
-        complete: bool_field(&body, "complete")?,
+        job: v.field("job", Value::as_u64)?,
+        cells: v.field("cells", Value::as_u64)? as usize,
+        cached: v.field("cached", Value::as_u64)? as usize,
+        enqueued: v.field("enqueued", Value::as_u64)? as usize,
+        pending: v.field("pending", Value::as_u64)? as usize,
+        complete: v.field("complete", Value::as_bool)?,
     })
 }
 
@@ -184,225 +153,48 @@ pub fn shutdown(addr: &str) -> Result<(), String> {
 ///
 /// Describes the first malformed field.
 pub fn parse_job_status(body: &str) -> Result<JobStatus, String> {
-    // Scalar fields live before the records array; records reuse some
-    // field names (`label`, ...) so scope the scalar search to the head.
-    let records_at = body.find("\"records\":[");
-    let head = &body[..records_at.unwrap_or(body.len())];
-    let records = match records_at {
+    let v = json::parse(body)?;
+    let records = match v.get("records") {
         None => Vec::new(),
-        Some(at) => parse_record_array(&body[at + "\"records\":[".len()..])?,
+        Some(recs) => recs
+            .as_array()
+            .ok_or("bad records")?
+            .iter()
+            .map(|r| match r {
+                Value::Null => Ok(None),
+                r => CellRecord::from_value(r).map(Some),
+            })
+            .collect::<Result<_, _>>()?,
     };
+    let quarantined = v.field("quarantined", Value::as_array)?;
     Ok(JobStatus {
-        job: num_field(head, "job")?,
-        total: num_field(head, "total")? as usize,
-        cached: num_field(head, "cached")? as usize,
-        executed: num_field(head, "executed")? as usize,
-        done: num_field(head, "done")? as usize,
-        complete: bool_field(head, "complete")?,
-        quarantined: string_array_field(head, "quarantined")?,
+        job: v.field("job", Value::as_u64)?,
+        total: v.field("total", Value::as_u64)? as usize,
+        cached: v.field("cached", Value::as_u64)? as usize,
+        executed: v.field("executed", Value::as_u64)? as usize,
+        done: v.field("done", Value::as_u64)? as usize,
+        complete: v.field("complete", Value::as_bool)?,
+        quarantined: quarantined
+            .iter()
+            .map(|l| l.as_str().map(str::to_string).ok_or("bad quarantined"))
+            .collect::<Result<_, _>>()?,
         records,
     })
-}
-
-/// Parses `null`/object elements up to the array's closing `]`,
-/// tracking string state so braces inside error messages don't confuse
-/// the object scanner.
-fn parse_record_array(mut rest: &str) -> Result<Vec<Option<CellRecord>>, String> {
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([' ', ',', '\n']);
-        if rest.is_empty() {
-            return Err("unterminated records array".into());
-        }
-        if let Some(after) = rest.strip_prefix(']') {
-            let _ = after;
-            return Ok(out);
-        }
-        if let Some(after) = rest.strip_prefix("null") {
-            out.push(None);
-            rest = after;
-            continue;
-        }
-        if !rest.starts_with('{') {
-            return Err(format!(
-                "expected record object, found {:?}",
-                &rest[..rest.len().min(20)]
-            ));
-        }
-        let end = object_end(rest).ok_or_else(|| "unterminated record object".to_string())?;
-        let rec = CellRecord::parse_line(&rest[..=end])?;
-        out.push(Some(rec));
-        rest = &rest[end + 1..];
-    }
-}
-
-/// Byte index of the `}` closing the object that starts at byte 0.
-fn object_end(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn field_start<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-    Ok(obj[at + pat.len()..].trim_start())
-}
-
-fn num_field(obj: &str, key: &str) -> Result<u64, String> {
-    let digits: String = field_start(obj, key)?
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().map_err(|_| format!("bad number for {key}"))
-}
-
-fn bool_field(obj: &str, key: &str) -> Result<bool, String> {
-    let rest = field_start(obj, key)?;
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err(format!("bad bool for {key}"))
-    }
-}
-
-/// Parses a flat array of strings (labels: escapes beyond `\"` and `\\`
-/// do not occur).
-fn string_array_field(obj: &str, key: &str) -> Result<Vec<String>, String> {
-    let mut rest = field_start(obj, key)?
-        .strip_prefix('[')
-        .ok_or_else(|| format!("{key} is not an array"))?;
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([' ', ',']);
-        if let Some(after) = rest.strip_prefix(']') {
-            let _ = after;
-            return Ok(out);
-        }
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return Err(format!("expected string in {key}")),
-        }
-        let mut value = String::new();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, e)) => value.push(e),
-                    None => return Err(format!("bad escape in {key}")),
-                },
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => value.push(c),
-            }
-        }
-        let end = end.ok_or_else(|| format!("unterminated string in {key}"))?;
-        out.push(value);
-        rest = &rest[end + 1..];
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccnuma_sweep::store::CellStatus;
-
-    fn record(key: &str, status: CellStatus) -> CellRecord {
-        CellRecord {
-            key: key.into(),
-            label: "fft/orig/4p".into(),
-            app: "fft".into(),
-            version: "orig".into(),
-            problem: "2^10 points".into(),
-            nprocs: 4,
-            scale: "quick".into(),
-            status,
-            attempts: 1,
-            host_ms: 12,
-            wall_ns: 1000,
-            seq_ns: 3000,
-            busy_ns: 2000,
-            mem_ns: 700,
-            sync_ns: 300,
-            misses: 42,
-            events: 5150,
-            causes: [0; 5],
-            sanitize: None,
-            critpath: None,
-            error: if status == CellStatus::Ok {
-                None
-            } else {
-                // Braces and brackets inside the string must not break
-                // the object scanner.
-                Some("panicked at {index: [3]} \"boom\"".into())
-            },
-        }
-    }
 
     #[test]
-    fn job_status_round_trips_through_the_job_json() {
-        let ok = record("aaa", CellStatus::Ok);
-        let bad = record("bbb", CellStatus::Panicked);
-        let body = format!(
-            "{{\"job\":7,\"dsl\":\"apps=fft\",\"total\":3,\"cached\":1,\"executed\":1,\"done\":2,\"complete\":false,\"quarantined\":[\"fft/orig/4p\"],\"records\":[{},null,{}]}}",
-            ok.to_json_line(),
-            bad.to_json_line()
-        );
-        let st = parse_job_status(&body).unwrap();
-        assert_eq!((st.job, st.total, st.cached), (7, 3, 1));
-        assert_eq!((st.executed, st.done, st.complete), (1, 2, false));
-        assert_eq!(st.quarantined, ["fft/orig/4p"]);
-        assert_eq!(st.records.len(), 3);
-        assert_eq!(st.records[0], Some(ok));
-        assert_eq!(st.records[1], None);
-        assert_eq!(st.records[2], Some(bad), "braces in errors survive");
-    }
-
-    #[test]
-    fn empty_and_missing_record_arrays_parse() {
+    fn job_status_reads_empty_and_rejects_malformed_bodies() {
         let body = "{\"job\":1,\"dsl\":\"\",\"total\":0,\"cached\":0,\"executed\":0,\"done\":0,\"complete\":true,\"quarantined\":[],\"records\":[]}";
         let st = parse_job_status(body).unwrap();
-        assert!(st.complete);
-        assert!(st.records.is_empty());
-        assert!(st.quarantined.is_empty());
-    }
-
-    #[test]
-    fn malformed_bodies_are_errors() {
+        assert!(st.complete && st.records.is_empty() && st.quarantined.is_empty());
         assert!(parse_job_status("{}").is_err());
-        assert!(parse_job_status(
-            "{\"job\":1,\"total\":0,\"cached\":0,\"executed\":0,\"done\":0,\"complete\":maybe"
-        )
-        .is_err());
-        let truncated = "{\"job\":1,\"total\":1,\"cached\":0,\"executed\":0,\"done\":0,\"complete\":false,\"quarantined\":[],\"records\":[{\"key\": \"x";
-        assert!(parse_job_status(truncated).is_err());
+        let bad_bool = body.replace("true", "maybe");
+        assert!(parse_job_status(&bad_bool).is_err());
+        let torn = body.replace("[]}", "[{\"key\": \"x");
+        assert!(parse_job_status(&torn).is_err());
     }
 }

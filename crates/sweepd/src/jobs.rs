@@ -9,8 +9,7 @@
 use std::sync::mpsc::Sender;
 
 use ccnuma_sweep::store::CellRecord;
-
-use crate::http;
+use ccnuma_telemetry::expo::esc_json;
 
 /// One submitted sweep request.
 #[derive(Debug)]
@@ -66,12 +65,12 @@ impl Job {
         let quarantined: Vec<String> = self
             .quarantined()
             .iter()
-            .map(|l| format!("\"{}\"", http::esc(l)))
+            .map(|l| format!("\"{}\"", esc_json(l)))
             .collect();
         format!(
             "{{\"job\":{},\"dsl\":\"{}\",\"total\":{},\"cached\":{},\"executed\":{},\"done\":{},\"complete\":{},\"quarantined\":[{}]}}",
             self.id,
-            http::esc(&self.dsl),
+            esc_json(&self.dsl),
             self.total(),
             self.cached,
             self.executed,

@@ -8,8 +8,9 @@
 //! share one store: a cell any client ever simulated costs every later
 //! client a cache lookup instead of a simulation.
 //!
-//! The front end is a hand-rolled std-only HTTP server (the
-//! `ccnuma-telemetry` hub's listener idioms):
+//! The front end is the std-only HTTP server the telemetry hub also
+//! runs, [`ccnuma_telemetry::http`] (request parsing with read timeout,
+//! head limits and a connection cap; response and SSE framing):
 //!
 //! * `POST /sweep` — body is the matrix DSL the CLI takes
 //!   (`apps=fft,ocean versions=orig procs=2,4 scale=quick`); each
@@ -29,12 +30,11 @@
 //!   appended, the backlog is dropped (clients see incomplete jobs),
 //!   the store is fsynced. An idle timeout can do the same unattended.
 //!
-//! The pieces: [`http`] (request parsing and responses), [`jobs`] (job
-//! state and its JSON), [`server`] (the daemon), [`client`] (a blocking
-//! client used by `bench submit` and the tests).
+//! The pieces: [`jobs`] (job state and its JSON), [`server`] (the
+//! daemon), [`client`] (a blocking client used by `bench submit` and the
+//! tests, over [`ccnuma_telemetry::http::request`]).
 
 pub mod client;
-pub mod http;
 pub mod jobs;
 pub mod server;
 

@@ -17,7 +17,6 @@
 //! and its SSE subscribers.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,10 +29,10 @@ use ccnuma_sweep::matrix::{CellSpec, MatrixSpec};
 use ccnuma_sweep::pool::TaskQueue;
 use ccnuma_sweep::run::{Executor, RunOptions};
 use ccnuma_sweep::store::{Store, StoreStats};
-use ccnuma_telemetry::expo;
+use ccnuma_telemetry::http::{self, Request};
+use ccnuma_telemetry::hub;
 use ccnuma_telemetry::registry::{Counter, Gauge, Registry};
 
-use crate::http;
 use crate::jobs::Job;
 
 /// How the daemon listens and executes.
@@ -384,9 +383,7 @@ impl Shared {
     /// poll a daemon exactly like a telemetry hub.
     fn epoch_record(&self) -> String {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let t_ms = self.started.elapsed().as_millis() as u64;
-        let metrics = expo::json(&self.registry.snapshot());
-        format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
+        hub::epoch_record(&self.registry, seq, self.started.elapsed())
     }
 
     /// Flips the daemon into shutdown: stop accepting, wake the accept
@@ -449,12 +446,11 @@ impl Daemon {
             last_activity: Mutex::new(Instant::now()),
             idle_timeout: cfg.idle_timeout,
         });
-        let accept = {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sweepd-http".into())
-                .spawn(move || serve(listener, sh))?
-        };
+        let (sh, stop) = (Arc::clone(&shared), Arc::clone(&shared));
+        let stopped = move || stop.stop.load(Ordering::SeqCst);
+        let accept = http::serve(listener, "sweepd", stopped, move |stream, req| {
+            handle_conn(stream, req, &sh)
+        })?;
         let idle = match shared.idle_timeout {
             None => None,
             Some(timeout) => {
@@ -555,69 +551,37 @@ fn idle_watch(shared: &Arc<Shared>, timeout: Duration) {
     }
 }
 
-/// The accept loop: one handler thread per connection.
-fn serve(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("sweepd-conn".into())
-            .spawn(move || handle_conn(stream, &sh));
-    }
-}
-
-fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    let req = match http::read_request(&mut reader) {
+fn handle_conn(stream: &mut TcpStream, req: Result<Request, String>, shared: &Arc<Shared>) {
+    let req = match req {
         Ok(req) => req,
         Err(e) => {
             shared.core.metrics.bad_requests.inc();
-            http::respond_error(&mut stream, "400 Bad Request", &e);
+            http::respond_error(stream, "400 Bad Request", &e);
             return;
         }
     };
     shared.core.metrics.requests.inc();
     shared.touch();
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => http::respond(&mut stream, "200 OK", "text/plain", "ok\n"),
-        ("GET", "/metrics") => {
+        ("GET", p @ ("/healthz" | "/metrics" | "/snapshot")) => {
             shared.refresh_gauges();
-            let body = expo::prometheus(&shared.registry.snapshot());
-            http::respond(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        ("GET", "/snapshot") => {
-            shared.refresh_gauges();
-            let body = format!("{}\n", shared.epoch_record());
-            http::respond_json(&mut stream, "200 OK", &body);
+            hub::serve_observability(stream, p, &shared.registry, || shared.epoch_record());
         }
         ("POST", "/sweep") => {
             if !shared.accepting.load(Ordering::SeqCst) {
-                http::respond_error(&mut stream, "503 Service Unavailable", "shutting down");
+                http::respond_error(stream, "503 Service Unavailable", "shutting down");
                 return;
             }
             match shared.submit(req.body.trim()) {
-                Ok(json) => http::respond_json(&mut stream, "200 OK", &json),
+                Ok(json) => http::respond_json(stream, "200 OK", &json),
                 Err(e) => {
                     shared.core.metrics.bad_requests.inc();
-                    http::respond_error(&mut stream, "400 Bad Request", &e);
+                    http::respond_error(stream, "400 Bad Request", &e);
                 }
             }
         }
         ("POST", "/shutdown") => {
-            http::respond(&mut stream, "200 OK", "text/plain", "shutting down\n");
+            http::respond(stream, "200 OK", "text/plain", "shutting down\n");
             shared.begin_shutdown();
         }
         ("GET", p) if p.starts_with("/jobs/") => {
@@ -627,20 +591,15 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
                 None => (rest, false),
             };
             match id_str.parse::<u64>() {
-                Err(_) => http::respond_error(&mut stream, "404 Not Found", "no such job"),
+                Err(_) => http::respond_error(stream, "404 Not Found", "no such job"),
                 Ok(id) if events => serve_job_events(stream, shared, id),
                 Ok(id) => {
-                    let st = shared.core.state.lock().expect("daemon state poisoned");
-                    match st.jobs.get(&id) {
-                        Some(job) => {
-                            let body = job.to_json();
-                            drop(st);
-                            http::respond_json(&mut stream, "200 OK", &body);
-                        }
-                        None => {
-                            drop(st);
-                            http::respond_error(&mut stream, "404 Not Found", "no such job");
-                        }
+                    let state = shared.core.state.lock().expect("daemon state poisoned");
+                    let body = state.jobs.get(&id).map(Job::to_json);
+                    drop(state);
+                    match body {
+                        Some(body) => http::respond_json(stream, "200 OK", &body),
+                        None => http::respond_error(stream, "404 Not Found", "no such job"),
                     }
                 }
             }
@@ -648,75 +607,45 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         ("GET", p) if p.starts_with("/cell/") => {
             let key = &p["/cell/".len()..];
             match shared.store.get(key) {
-                Some(rec) => http::respond_json(&mut stream, "200 OK", &rec.to_json_line()),
+                Some(rec) => http::respond_json(stream, "200 OK", &rec.to_json_line()),
                 None => {
-                    http::respond_error(&mut stream, "404 Not Found", "no record for that key")
+                    http::respond_error(stream, "404 Not Found", "no record for that key")
                 }
             }
         }
         ("GET", _) => http::respond_error(
-            &mut stream,
+            stream,
             "404 Not Found",
             "unknown path; try /healthz /metrics /snapshot /jobs/<id> /cell/<key>, POST /sweep /shutdown",
         ),
-        _ => http::respond_error(&mut stream, "405 Method Not Allowed", "GET and POST only"),
+        _ => http::respond_error(stream, "405 Method Not Allowed", "GET and POST only"),
     }
 }
 
 /// The per-job SSE endpoint: an initial `job` summary frame, then every
 /// `cell` lifecycle frame as it happens, closed by `done` + `end` when
 /// the job completes (immediately, for an already-complete job).
-fn serve_job_events(mut stream: TcpStream, shared: &Arc<Shared>, id: u64) {
-    enum Sub {
-        Missing,
-        Done(String),
-        Live(String, mpsc::Receiver<String>),
-    }
+fn serve_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: u64) {
     // Register under the state lock: no frame can slip between the
-    // summary we capture and the subscription.
+    // summary we capture and the subscription. A complete job gets no
+    // subscription, so its stream ends after the first frames.
     let sub = {
         let mut st = shared.core.state.lock().expect("daemon state poisoned");
-        match st.jobs.get_mut(&id) {
-            None => Sub::Missing,
-            Some(job) if job.complete() => Sub::Done(job.summary_json()),
-            Some(job) => {
-                let (tx, rx) = mpsc::channel();
+        st.jobs.get_mut(&id).map(|job| {
+            let (tx, rx) = mpsc::channel();
+            let summary = job.summary_json();
+            let mut first = http::sse_frame("job", &summary);
+            if job.complete() {
+                first.push_str(&http::sse_frame("done", &summary));
+                first.push_str(&http::sse_frame("end", "{}"));
+            } else {
                 job.subscribers.push(tx);
-                Sub::Live(job.summary_json(), rx)
             }
-        }
+            (first, rx)
+        })
     };
-    if let Sub::Missing = sub {
-        http::respond_error(&mut stream, "404 Not Found", "no such job");
-        return;
-    }
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
     match sub {
-        Sub::Missing => unreachable!("handled above"),
-        Sub::Done(summary) => {
-            let mut body = http::sse_frame("job", &summary);
-            body.push_str(&http::sse_frame("done", &summary));
-            body.push_str(&http::sse_frame("end", "{}"));
-            let _ = stream.write_all(body.as_bytes());
-            let _ = stream.flush();
-        }
-        Sub::Live(summary, rx) => {
-            let first = http::sse_frame("job", &summary);
-            if stream.write_all(first.as_bytes()).is_err() || stream.flush().is_err() {
-                return;
-            }
-            // Ends when every sender is dropped: job completion or
-            // daemon shutdown clears the subscriber list after the
-            // `end` frame; a client disconnect surfaces as a write
-            // error.
-            while let Ok(frame) = rx.recv() {
-                if stream.write_all(frame.as_bytes()).is_err() || stream.flush().is_err() {
-                    return;
-                }
-            }
-        }
+        None => http::respond_error(stream, "404 Not Found", "no such job"),
+        Some((first, rx)) => http::stream_events(stream, &first, &rx),
     }
 }

@@ -227,15 +227,9 @@ fn sse_streams_job_progress_and_quarantine_is_reported() {
     let resp = client::submit(&addr, "apps=fft versions=orig procs=2,4 scale=quick").unwrap();
 
     // Subscribe to the job's SSE stream and read it to the end.
-    let mut s = TcpStream::connect(&addr).unwrap();
-    write!(
-        s,
-        "GET /jobs/{}/events HTTP/1.1\r\nHost: x\r\n\r\n",
-        resp.job
-    )
-    .unwrap();
-    let mut body = String::new();
-    s.read_to_string(&mut body).expect("stream closes at end");
+    let path = format!("/jobs/{}/events", resp.job);
+    let (status, body) = client::request(&addr, "GET", &path, "").expect("stream closes at end");
+    assert_eq!(status, 200);
     assert!(body.contains("event: job"), "{body}");
     assert!(body.contains("event: done"), "{body}");
     assert!(body.contains("event: end"), "{body}");

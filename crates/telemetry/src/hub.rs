@@ -1,6 +1,6 @@
 //! The observer: an epoch sampler that snapshots a [`Registry`] on a
 //! host-time cadence, appends each sample to a crash-safe JSONL log, and
-//! serves live state over a minimal std-only HTTP server:
+//! serves live state over the shared std-only HTTP server ([`http`]):
 //!
 //! * `GET /metrics` — Prometheus text exposition (fresh snapshot).
 //! * `GET /snapshot` — one JSON epoch record (fresh snapshot).
@@ -14,16 +14,17 @@
 //! with the same single-flushed-write discipline as the sweep store so a
 //! crash can tear at most the final line.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::expo;
+use crate::http::{self, Request};
 use crate::registry::Registry;
 
 /// How the hub observes and publishes.
@@ -49,9 +50,7 @@ struct Shared {
 impl Shared {
     /// One epoch record from a fresh registry snapshot.
     fn epoch_record(&self, seq: u64) -> String {
-        let t_ms = self.started.elapsed().as_millis() as u64;
-        let metrics = expo::json(&self.registry.snapshot());
-        format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
+        epoch_record(&self.registry, seq, self.started.elapsed())
     }
 
     /// Sends one pre-formatted SSE frame to every subscriber, dropping
@@ -77,7 +76,7 @@ impl HubHandle {
     /// Publishes one application event: `data` must be a complete JSON
     /// value; it is framed as an SSE event of the given `kind`.
     pub fn publish(&self, kind: &str, data: &str) {
-        self.0.broadcast(&sse_frame(kind, data));
+        self.0.broadcast(&http::sse_frame(kind, data));
     }
 }
 
@@ -94,11 +93,6 @@ impl std::fmt::Debug for Hub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Hub(addr: {:?})", self.addr)
     }
-}
-
-/// Formats one SSE frame.
-fn sse_frame(kind: &str, data: &str) -> String {
-    format!("event: {kind}\ndata: {data}\n\n")
 }
 
 impl Hub {
@@ -133,10 +127,11 @@ impl Hub {
             Some(a) => {
                 let listener = TcpListener::bind(a)?;
                 let local = listener.local_addr()?;
-                let sh = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name("telemetry-http".into())
-                    .spawn(move || serve(listener, sh))?;
+                let (sh, stop) = (Arc::clone(&shared), Arc::clone(&shared));
+                let stopped = move || stop.stop.load(Ordering::SeqCst);
+                let h = http::serve(listener, "telemetry", stopped, move |stream, req| {
+                    handle_conn(stream, req, &sh)
+                })?;
                 (Some(local), Some(h))
             }
         };
@@ -167,11 +162,11 @@ impl Hub {
                             let _ = f.write_all(line.as_bytes());
                             let _ = f.flush();
                         }
-                        sh.broadcast(&sse_frame("epoch", &rec));
+                        sh.broadcast(&http::sse_frame("epoch", &rec));
                         if stopping {
                             // Final sample taken; announce the end and
                             // release every subscriber.
-                            sh.broadcast(&sse_frame("end", "{}"));
+                            sh.broadcast(&http::sse_frame("end", "{}"));
                             sh.subscribers
                                 .lock()
                                 .expect("subscriber lock poisoned")
@@ -218,107 +213,65 @@ impl Hub {
     }
 }
 
-/// The accept loop: one handler thread per connection.
-fn serve(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("telemetry-conn".into())
-            .spawn(move || handle_conn(stream, sh));
-    }
+/// An epoch record, `{"seq":N,"t_ms":T,"metrics":{...}}`, from a fresh
+/// snapshot of `registry` taken `since` the observer started.
+pub fn epoch_record(registry: &Registry, seq: u64, since: Duration) -> String {
+    let t_ms = since.as_millis() as u64;
+    let metrics = expo::json(&registry.snapshot());
+    format!("{{\"seq\":{seq},\"t_ms\":{t_ms},\"metrics\":{metrics}}}")
 }
 
-/// Parses the request line and routes.
-fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return;
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    if method != "GET" {
-        respond(stream, "405 Method Not Allowed", "text/plain", "GET only\n");
-        return;
-    }
+/// Answers the observability routes the hub and the sweep daemon both
+/// serve: `/metrics`, `/snapshot` (the epoch record `snapshot` renders)
+/// and the `/healthz` liveness probe. Returns false, writing nothing, for
+/// any other path.
+pub fn serve_observability(
+    stream: &mut TcpStream,
+    path: &str,
+    registry: &Registry,
+    snapshot: impl FnOnce() -> String,
+) -> bool {
     match path {
         "/metrics" => {
-            let body = expo::prometheus(&shared.registry.snapshot());
-            respond(
-                stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
+            let body = expo::prometheus(&registry.snapshot());
+            let ctype = "text/plain; version=0.0.4; charset=utf-8";
+            http::respond(stream, "200 OK", ctype, &body);
         }
-        "/snapshot" => {
-            let seq = shared.seq.load(Ordering::SeqCst);
-            let body = format!("{}\n", shared.epoch_record(seq));
-            respond(stream, "200 OK", "application/json", &body);
-        }
-        "/events" => serve_events(stream, &shared),
-        // Liveness probe: scrapers and CI can check the hub is up
-        // without parsing a snapshot.
-        "/healthz" => respond(stream, "200 OK", "text/plain", "ok\n"),
-        _ => respond(
-            stream,
-            "404 Not Found",
-            "text/plain",
-            "try /metrics, /snapshot, /events, /healthz\n",
-        ),
+        "/snapshot" => http::respond_json(stream, "200 OK", &format!("{}\n", snapshot())),
+        "/healthz" => http::respond(stream, "200 OK", "text/plain", "ok\n"),
+        _ => return false,
     }
+    true
 }
 
-/// Writes one complete HTTP/1.1 response and closes.
-fn respond(mut stream: TcpStream, status: &str, ctype: &str, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
-}
-
-/// The SSE endpoint: subscribes to the broadcast list and forwards
-/// frames until the hub shuts down or the client disconnects.
-fn serve_events(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
+/// Routes one request.
+fn handle_conn(stream: &mut TcpStream, req: Result<Request, String>, shared: &Shared) {
+    let req = match req {
+        Ok(req) => req,
+        Err(e) => return http::respond_error(stream, "400 Bad Request", &e),
+    };
+    if req.method != "GET" {
+        http::respond(stream, "405 Method Not Allowed", "text/plain", "GET only\n");
         return;
     }
-    // Immediately confirm liveness with the current state, then follow
-    // the broadcast stream.
     let seq = shared.seq.load(Ordering::SeqCst);
-    let first = sse_frame("epoch", &shared.epoch_record(seq));
-    if stream.write_all(first.as_bytes()).is_err() || stream.flush().is_err() {
-        return;
-    }
-    let rx: Receiver<String> = {
+    if req.path == "/events" {
+        // Subscribe first, then confirm liveness with the current state:
+        // no epoch can fall between the two. The sampler drops the
+        // sender at shutdown (after the `end` frame).
         let (tx, rx) = std::sync::mpsc::channel();
         shared
             .subscribers
             .lock()
             .expect("subscriber lock poisoned")
             .push(tx);
-        rx
-    };
-    // The sender side is dropped by the sampler at shutdown (after the
-    // `end` frame), which ends this loop; a client disconnect surfaces
-    // as a write error.
-    while let Ok(frame) = rx.recv() {
-        if stream.write_all(frame.as_bytes()).is_err() || stream.flush().is_err() {
-            return;
-        }
+        let first = http::sse_frame("epoch", &shared.epoch_record(seq));
+        http::stream_events(stream, &first, &rx);
+    } else if !serve_observability(stream, &req.path, &shared.registry, || {
+        shared.epoch_record(seq)
+    }) {
+        let hint = "try /metrics, /snapshot, /events, /healthz\n";
+        http::respond(stream, "404 Not Found", "text/plain", hint);
     }
 }
 
@@ -328,8 +281,12 @@ mod tests {
     use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> String {
+        send(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
+    }
+
+    fn send(addr: SocketAddr, raw: &str) -> String {
         let mut s = TcpStream::connect(addr).expect("connect");
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        s.write_all(raw.as_bytes()).unwrap();
         let mut buf = String::new();
         s.read_to_string(&mut buf).expect("read");
         buf
@@ -363,6 +320,13 @@ mod tests {
         let nf = get(addr, "/unknown");
         assert!(nf.starts_with("HTTP/1.1 404"), "{nf}");
         assert!(nf.contains("/healthz"), "hint lists the probe: {nf}");
+        let bad = send(addr, "ello\r\n\r\n");
+        assert!(
+            bad.starts_with("HTTP/1.1 400") && bad.contains("\"error\""),
+            "{bad}"
+        );
+        let post = send(addr, "POST /metrics HTTP/1.1\r\n\r\n");
+        assert!(post.starts_with("HTTP/1.1 405"), "{post}");
         hub.shutdown();
     }
 

@@ -2,7 +2,7 @@
 //! registry, a rate pipeline, and a streaming observer.
 //!
 //! The crate is std-only and knows nothing about simulators or sweeps —
-//! it provides three mechanisms the study's binaries compose:
+//! it provides the mechanisms the study's binaries compose:
 //!
 //! * [`registry`] — named counters, gauges, and log2-bucketed histograms
 //!   with an atomic hot path (handles are `Arc`s around atomics; the
@@ -12,9 +12,11 @@
 //!   resets and empty epochs.
 //! * [`expo`] — Prometheus text exposition and a flat JSON rendering of
 //!   a registry snapshot.
+//! * [`http`] — the one HTTP/1.1 request parser, accept loop, response
+//!   and SSE framing, and client, shared with the sweep daemon.
 //! * [`hub`] — the observer: an epoch sampler, a crash-safe JSONL
-//!   epoch log, and a minimal HTTP server with `/metrics`, `/snapshot`,
-//!   and `/events` (SSE) endpoints.
+//!   epoch log, and `/metrics`, `/snapshot`, `/events` (SSE) and
+//!   `/healthz` endpoints.
 //!
 //! Everything here observes; nothing feeds back. The simulation's
 //! determinism guarantee (bit-identical `RunStats` with telemetry on or
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod expo;
+pub mod http;
 pub mod hub;
 pub mod rate;
 pub mod registry;

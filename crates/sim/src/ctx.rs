@@ -11,13 +11,20 @@
 //! same-kind accesses coalesce) and flushed to the engine in batches; every
 //! synchronization operation flushes first, so ordering across
 //! synchronization points is exact.
+//!
+//! A flush submits one request to the engine, and the calling thread then
+//! dispatches engine events itself (see `engine.rs`). It returns to
+//! application code once its own request has been processed, parking
+//! first if another thread's dispatch must process it. The reply hands the
+//! emptied op buffers back, so batches refill them without regrowing.
 
 use std::cell::{Cell, RefCell};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 use crate::config::CostModel;
+use crate::engine::Shared;
 use crate::page::Addr;
-use crate::proto::{MemOp, OpKind, Reply, Request};
+use crate::proto::{Action, MemOp, OpKind, Request};
 use crate::sync::{BarrierRef, FetchCellRef, LockRef, SemRef};
 use crate::time::Ns;
 
@@ -41,8 +48,7 @@ pub struct Ctx {
     busy: Cell<Ns>,
     ops: RefCell<Vec<MemOp>>,
     san: RefCell<Vec<MemOp>>,
-    tx: Sender<(usize, Request)>,
-    rx: Receiver<Reply>,
+    shared: Arc<Shared>,
 }
 
 impl Ctx {
@@ -54,8 +60,7 @@ impl Ctx {
         cost: CostModel,
         prefetch_enabled: bool,
         sanitize: bool,
-        tx: Sender<(usize, Request)>,
-        rx: Receiver<Reply>,
+        shared: Arc<Shared>,
     ) -> Self {
         Ctx {
             id,
@@ -67,8 +72,7 @@ impl Ctx {
             busy: Cell::new(0),
             ops: RefCell::new(Vec::with_capacity(FLUSH_THRESHOLD + 1)),
             san: RefCell::new(Vec::new()),
-            tx,
-            rx,
+            shared,
         }
     }
 
@@ -180,33 +184,33 @@ impl Ctx {
         }
     }
 
-    fn take_pending(&self) -> (Ns, Vec<MemOp>, Vec<MemOp>) {
-        (
-            self.busy.replace(0),
-            std::mem::take(&mut *self.ops.borrow_mut()),
-            std::mem::take(&mut *self.san.borrow_mut()),
-        )
+    fn request(&self, action: Action) -> Request {
+        Request {
+            busy: self.busy.replace(0),
+            ops: std::mem::take(&mut *self.ops.borrow_mut()),
+            san: std::mem::take(&mut *self.san.borrow_mut()),
+            action,
+        }
     }
 
-    fn send(&self, req: Request) -> Reply {
-        if self.tx.send((self.id, req)).is_err() {
-            std::panic::panic_any(crate::proto::EngineGone);
-        }
-        match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => std::panic::panic_any(crate::proto::EngineGone),
-        }
+    /// Submits the buffered work plus `action` and waits for the reply,
+    /// returning its value and taking back the recycled buffers.
+    fn send(&self, action: Action) -> i64 {
+        self.shared.submit(self.id, self.request(action));
+        let reply = self.shared.slot(self.id).wait();
+        *self.ops.borrow_mut() = reply.ops;
+        *self.san.borrow_mut() = reply.san;
+        reply.value
     }
 
     /// Flushes buffered computation and memory operations to the engine,
     /// advancing this processor's virtual clock. Called automatically by
     /// every synchronization operation and when the buffer fills.
     pub fn flush(&self) {
-        let (busy, ops, san) = self.take_pending();
-        if busy == 0 && ops.is_empty() {
+        if self.busy.get() == 0 && self.ops.borrow().is_empty() {
             return;
         }
-        self.send(Request::Ops { busy, ops, san });
+        self.send(Action::Flush);
     }
 
     // ---- phases ----------------------------------------------------------
@@ -218,37 +222,19 @@ impl Ctx {
     /// tracing is enabled, label the exported timeline. Marking the same
     /// name again re-enters that phase (phase ids are interned by name).
     pub fn phase(&self, name: &str) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Phase {
-            busy,
-            ops,
-            san,
-            name: name.to_string(),
-        });
+        self.send(Action::Phase(name.to_string()));
     }
 
     // ---- synchronization ---------------------------------------------------
 
     /// Waits until every processor has arrived at barrier `b`.
     pub fn barrier(&self, b: BarrierRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Barrier {
-            busy,
-            ops,
-            san,
-            id: b.0 as usize,
-        });
+        self.send(Action::Barrier(b.0 as usize));
     }
 
     /// Acquires lock `l`, blocking in virtual time while it is held.
     pub fn lock(&self, l: LockRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Lock {
-            busy,
-            ops,
-            san,
-            id: l.0 as usize,
-        });
+        self.send(Action::Lock(l.0 as usize));
     }
 
     /// Releases lock `l`.
@@ -257,13 +243,7 @@ impl Ctx {
     ///
     /// The simulation fails if the calling processor does not hold `l`.
     pub fn unlock(&self, l: LockRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::Unlock {
-            busy,
-            ops,
-            san,
-            id: l.0 as usize,
-        });
+        self.send(Action::Unlock(l.0 as usize));
     }
 
     /// Runs `f` with lock `l` held.
@@ -278,49 +258,39 @@ impl Ctx {
     /// value. The cost model follows the configured lock primitive (LL/SC
     /// read-modify-write or at-memory fetch&op).
     pub fn fetch_add(&self, c: FetchCellRef, delta: i64) -> i64 {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::FetchAdd {
-            busy,
-            ops,
-            san,
+        self.send(Action::FetchAdd {
             id: c.0 as usize,
             delta,
         })
-        .value
     }
 
-    /// Decrements semaphore `s`, blocking in virtual time while it is zero.
+    /// Decrements semaphore `s`, blocking while it is zero.
     pub fn sem_wait(&self, s: SemRef) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::SemWait {
-            busy,
-            ops,
-            san,
-            id: s.0 as usize,
-        });
+        self.send(Action::SemWait(s.0 as usize));
     }
 
     /// Increments semaphore `s` by `n`, waking blocked waiters.
     pub fn sem_post(&self, s: SemRef, n: u32) {
-        let (busy, ops, san) = self.take_pending();
-        self.send(Request::SemPost {
-            busy,
-            ops,
-            san,
+        self.send(Action::SemPost {
             id: s.0 as usize,
             n,
         });
     }
 
-    /// Called by the runtime when the body returns.
-    pub(crate) fn finish(&self) {
-        let (busy, ops, san) = self.take_pending();
-        let _ = self.tx.send((self.id, Request::Finish { busy, ops, san }));
+    /// Registers the calling thread as this processor's, so that replies
+    /// can wake it. Called by the runtime before the body runs.
+    pub(crate) fn bind_thread(&self) {
+        self.shared.slot(self.id).bind();
     }
 
-    /// Called by the runtime when the body panics.
+    /// Called by the runtime when the body returns. No reply follows.
+    pub(crate) fn finish(&self) {
+        self.shared.submit(self.id, self.request(Action::Finish));
+    }
+
+    /// Called by the runtime when the body panics: aborts the run.
     pub(crate) fn report_panic(&self, msg: String) {
-        let _ = self.tx.send((self.id, Request::Panic(msg)));
+        self.shared.fail(msg);
     }
 }
 

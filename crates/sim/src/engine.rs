@@ -1,10 +1,27 @@
 //! The conservative discrete-event execution engine.
 //!
 //! One OS thread runs each simulated processor's application body. The
-//! engine advances virtual time by processing thread requests in virtual
-//! time order: a request is only processed once every unblocked thread has
-//! submitted its next request (so no earlier-in-virtual-time work can still
-//! appear), which makes runs deterministic regardless of host scheduling.
+//! engine processes thread requests in virtual-time order: pending
+//! requests sit in a heap keyed by `(time, pid)`, and the heap minimum is
+//! processed only while it lies strictly before the *frontier*, the
+//! earliest clock of a thread still running application code (which
+//! could yet submit earlier work). So every run is deterministic
+//! regardless of host scheduling.
+//!
+//! There is no engine thread. The engine lives behind one mutex in
+//! [`Shared`]; a thread that submits a request takes the lock, queues the
+//! request and runs the dispatch loop itself until the frontier stops it.
+//! A submitter that finds the engine busy does not sleep on the lock: it
+//! leaves the request in an inbox that the holder drains before it lets
+//! go. Replies go into the target thread's [`Slot`], which is unparked unless
+//! it is the dispatching thread itself: when a thread's own request is
+//! processed on its own dispatch, it returns to application code with no
+//! syscall; otherwise it parks until some other thread's dispatch
+//! replies. Several threads still run application code at once after a
+//! barrier or broadcast wake. The mutex and the slot locks order every
+//! engine step and every reply before what the woken thread does next.
+//! The thread that called `Machine::run` only waits for the run to settle
+//! (all finished, or failed), joins, and assembles the [`RunStats`].
 //!
 //! All time charged to a processor flows through the `charge_*` helpers,
 //! which update the per-processor totals, the per-phase accumulators and
@@ -13,7 +30,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::fmt;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::thread::{self, Thread};
 
 use crate::attrib::{word_mask, MissCause, CAUSE_OTHER};
 use crate::config::{BarrierImpl, LockImpl, MachineConfig};
@@ -24,7 +43,7 @@ use crate::memsys::{AccessClass, AccessKind, MemorySystem, Outcome};
 use crate::page::Addr;
 use crate::prof::{self, Region};
 use crate::profile::Profiler;
-use crate::proto::{MemOp, OpKind, Reply, Request};
+use crate::proto::{Action, EngineGone, MemOp, OpKind, Reply, Request};
 use crate::sanitize::Sanitizer;
 use crate::schedule::Perturber;
 use crate::stats::{PhaseBreakdown, PhaseStats, ProcStats, RunStats};
@@ -46,16 +65,214 @@ pub(crate) struct SyncTables {
     pub cells: Vec<FetchCell>,
 }
 
+/// Locks `m`, ignoring poison: a panic inside engine code is reported as
+/// the run's error by the thread that raised it, and nothing read under
+/// these locks afterwards depends on the interrupted update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a processor thread finds in its [`Slot`].
+#[derive(Default)]
+enum SlotState {
+    #[default]
+    Empty,
+    Ready(Reply),
+    /// The run was aborted: unwind with [`EngineGone`].
+    Gone,
+}
+
+/// One processor thread's mailbox: where a dispatching thread leaves the
+/// reply, and the handle it wakes the owner with.
+#[derive(Default)]
+pub(crate) struct Slot {
+    state: Mutex<SlotState>,
+    thread: OnceLock<Thread>,
+}
+
+impl Slot {
+    /// Registers the calling thread as the slot's owner. Must precede the
+    /// owner's first request, since replies unpark this handle.
+    pub(crate) fn bind(&self) {
+        let _ = self.thread.set(thread::current());
+    }
+
+    fn put(&self, state: SlotState, wake: bool) {
+        *lock(&self.state) = state;
+        if wake {
+            if let Some(t) = self.thread.get() {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Parks the owner until its reply arrives. Unwinds with
+    /// [`EngineGone`] once the run is aborted.
+    pub(crate) fn wait(&self) -> Reply {
+        loop {
+            {
+                let mut st = lock(&self.state);
+                match std::mem::replace(&mut *st, SlotState::Empty) {
+                    SlotState::Ready(r) => return r,
+                    SlotState::Gone => {
+                        *st = SlotState::Gone;
+                        drop(st);
+                        std::panic::panic_any(EngineGone);
+                    }
+                    SlotState::Empty => {}
+                }
+            }
+            // Spurious wakes just re-check the slot.
+            thread::park();
+        }
+    }
+}
+
+/// The engine and the processor slots of one run, shared by its threads.
+pub(crate) struct Shared {
+    engine: Mutex<Engine>,
+    /// Requests whose submitter found the engine busy. The engine's holder
+    /// accepts them before it releases the engine (see [`Shared::drive`]).
+    inbox: Mutex<Vec<(usize, Request)>>,
+    slots: Arc<[Slot]>,
+    /// Set, and signalled, once `Engine::outcome` is set.
+    settled: (Mutex<bool>, Condvar),
+}
+
+impl Shared {
+    pub(crate) fn new(engine: Engine) -> Self {
+        Shared {
+            slots: Arc::clone(&engine.slots),
+            engine: Mutex::new(engine),
+            inbox: Mutex::new(Vec::new()),
+            settled: (Mutex::new(false), Condvar::new()),
+        }
+    }
+
+    /// Processor `p`'s slot.
+    pub(crate) fn slot(&self, p: usize) -> &Slot {
+        &self.slots[p]
+    }
+
+    /// Queues processor `p`'s request and, unless another thread holds
+    /// the engine (it will take the request over), dispatches every event
+    /// that has become safe to process, on the calling thread.
+    pub(crate) fn submit(&self, p: usize, req: Request) {
+        match self.engine.try_lock() {
+            Ok(eng) => self.drive(eng, p, Some(req)),
+            Err(TryLockError::WouldBlock) => {
+                // Sleeping on the engine lock would cost a thread switch;
+                // leave the request for the holder instead. If the holder
+                // released before seeing it, take over.
+                lock(&self.inbox).push((p, req));
+                match self.engine.try_lock() {
+                    Ok(eng) => self.drive(eng, p, None),
+                    Err(TryLockError::WouldBlock) => {}
+                    Err(TryLockError::Poisoned(_)) => std::panic::panic_any(EngineGone),
+                }
+            }
+            // Engine code panicked on another thread, which reports it.
+            Err(TryLockError::Poisoned(_)) => std::panic::panic_any(EngineGone),
+        }
+    }
+
+    /// Accepts `own` and the inbox, dispatches, and releases the engine
+    /// only with the inbox empty. The release happens under the inbox
+    /// lock, so a request queued after the last check finds the engine
+    /// free (or held by a thread that will check again): none is lost.
+    fn drive(&self, mut eng: MutexGuard<'_, Engine>, me: usize, own: Option<Request>) {
+        if eng.outcome.is_some() {
+            return; // aborted: every slot already says Gone
+        }
+        if let Some(req) = own {
+            eng.accept(me, req);
+        }
+        loop {
+            let queued = std::mem::take(&mut *lock(&self.inbox));
+            for (q, req) in queued {
+                eng.accept(q, req);
+            }
+            match eng.dispatch(me) {
+                Ok(false) => {}
+                Ok(true) => return self.settle(&mut eng, Ok(())),
+                Err(e) => return self.settle(&mut eng, Err(e)),
+            }
+            let inbox = lock(&self.inbox);
+            if inbox.is_empty() {
+                drop(eng);
+                return;
+            }
+        }
+    }
+
+    /// Aborts the run with [`SimError::AppPanic`] unless it already
+    /// settled.
+    pub(crate) fn fail(&self, msg: String) {
+        let mut eng = lock(&self.engine);
+        if eng.outcome.is_none() {
+            self.settle(&mut eng, Err(SimError::AppPanic(msg)));
+        }
+    }
+
+    fn settle(&self, eng: &mut Engine, outcome: Result<(), SimError>) {
+        if outcome.is_err() {
+            for s in self.slots.iter() {
+                s.put(SlotState::Gone, true);
+            }
+        }
+        eng.outcome = Some(outcome);
+        let (done, cv) = &self.settled;
+        *lock(done) = true;
+        cv.notify_all();
+    }
+
+    /// Blocks until every processor has finished or the run failed.
+    pub(crate) fn wait_settled(&self) {
+        let (done, cv) = &self.settled;
+        let _done = cv
+            .wait_while(lock(done), |d| !*d)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+
+    /// The engine, once every processor thread has been joined.
+    pub(crate) fn into_engine(self) -> Engine {
+        self.engine
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The sync object a processor is parked on, for the deadlock report.
+#[derive(Clone, Copy)]
+enum Blocked {
+    Lock(usize),
+    Barrier(usize),
+    Sem(usize),
+}
+
+impl fmt::Display for Blocked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Blocked::Lock(id) => write!(f, "lock {id}"),
+            Blocked::Barrier(id) => write!(f, "barrier {id}"),
+            Blocked::Sem(id) => write!(f, "semaphore {id}"),
+        }
+    }
+}
+
 struct ProcRuntime {
     clock: Ns,
     stats: ProcStats,
     /// Interned id of the phase this processor is currently in.
     phase: u32,
     pending: Option<Request>,
+    /// The last processed request's emptied buffers, returned with the
+    /// next reply.
+    spare: Reply,
     /// Thread is executing application code (we owe nothing, it owes a request).
     running: bool,
-    /// Human-readable reason while parked on a sync object.
-    parked_on: Option<String>,
+    /// The sync object this processor is parked on, if any.
+    parked_on: Option<Blocked>,
     done: bool,
 }
 
@@ -65,9 +282,13 @@ pub(crate) struct Engine {
     sync: SyncTables,
     procs: Vec<ProcRuntime>,
     heap: BinaryHeap<Reverse<(Ns, usize)>>,
-    reply_tx: Vec<SyncSender<Reply>>,
-    req_rx: Receiver<(usize, Request)>,
+    slots: Arc<[Slot]>,
+    /// The processor whose thread is dispatching: its replies need no wake.
+    me: usize,
     done_count: usize,
+    events: u64,
+    /// Set once: all finished (`Ok`) or the run's error.
+    outcome: Option<Result<(), SimError>>,
     log2p: u32,
     profiler: Profiler,
     tracer: TraceBuffer,
@@ -84,8 +305,8 @@ pub(crate) struct Engine {
     /// observational, like the sanitizer: never consulted for timing.
     critpath: Option<Box<CritCollector>>,
     /// Seeded schedule perturber, when `cfg.schedule` is set. All its
-    /// decisions happen here on the coordinator thread, in deterministic
-    /// event order, so a seed replays bit-identically; when `None` every
+    /// decisions happen under the engine lock, in deterministic event
+    /// order, so a seed replays bit-identically; when `None` every
     /// choice point takes its original code path unchanged.
     sched: Option<Box<Perturber>>,
     /// Buffered deltas for the process-wide live counters
@@ -99,13 +320,13 @@ impl Engine {
         cfg: MachineConfig,
         mem: MemorySystem,
         sync: SyncTables,
-        reply_tx: Vec<SyncSender<Reply>>,
-        req_rx: Receiver<(usize, Request)>,
         profiler: Profiler,
         tracer: TraceBuffer,
         sanitizer: Option<Box<Sanitizer>>,
         critpath: Option<Box<CritCollector>>,
     ) -> Self {
+        LIVE.runs_started
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let n = cfg.nprocs;
         let nlocks = sync.locks.len();
         let sched = cfg.schedule.map(|sc| Box::new(Perturber::new(sc, n)));
@@ -120,15 +341,18 @@ impl Engine {
                     stats: ProcStats::default(),
                     phase: 0,
                     pending: None,
+                    spare: Reply::default(),
                     running: true,
                     parked_on: None,
                     done: false,
                 })
                 .collect(),
             heap: BinaryHeap::new(),
-            reply_tx,
-            req_rx,
+            slots: (0..n).map(|_| Slot::default()).collect(),
+            me: 0,
             done_count: 0,
+            events: 0,
+            outcome: None,
             profiler,
             tracer,
             phase_names: vec!["main".to_string()],
@@ -141,26 +365,15 @@ impl Engine {
         }
     }
 
-    /// Runs the event loop to completion.
-    pub(crate) fn run(mut self) -> Result<RunStats, SimError> {
-        use std::sync::atomic::Ordering::Relaxed;
-        LIVE.runs_started.fetch_add(1, Relaxed);
-        // Host-time self-profiling for this run; the scope flushes the
-        // thread's aggregates and disables recording on every exit path.
-        // Purely observational: simulated results are bit-identical with
-        // it on or off.
-        let _prof = prof::thread_scope(self.cfg.profile);
-        let mut events: u64 = 0;
+    /// Processes events in `(time, pid)` order on behalf of the calling
+    /// thread, processor `me`, until the frontier forbids the next one.
+    /// Returns whether every processor has finished.
+    fn dispatch(&mut self, me: usize) -> Result<bool, SimError> {
+        self.me = me;
         let n = self.procs.len();
         loop {
-            // Drain already-arrived requests without blocking. An error
-            // (empty or disconnected) just means nothing more has arrived;
-            // disconnection is fine — final requests are already queued.
-            while let Ok((p, req)) = self.req_rx.try_recv() {
-                self.accept(p, req)?;
-            }
             if self.done_count == n {
-                break;
+                return Ok(true);
             }
             // Frontier: the earliest virtual time at which a still-running
             // thread could submit new work.
@@ -210,9 +423,9 @@ impl Engine {
                 self.sample_gauges(t);
                 {
                     let _sp = prof::span(Region::EngineDispatch);
-                    self.process(p)?;
+                    self.process(p);
                 }
-                events += 1;
+                self.events += 1;
                 if self.live.event() {
                     {
                         let _sp = prof::span(Region::LiveFlush);
@@ -223,22 +436,15 @@ impl Engine {
                     prof::flush_thread();
                 }
             } else if frontier.is_some() {
-                // Block until a running thread submits.
-                match self.req_rx.recv() {
-                    Ok((p, req)) => self.accept(p, req)?,
-                    Err(_) => {
-                        return Err(SimError::AppPanic(
-                            "an application thread exited without finishing".into(),
-                        ))
-                    }
-                }
+                // A running thread will submit and carry on from here.
+                return Ok(false);
             } else {
                 // Nothing runnable, nothing pending: deadlock.
                 let blocked: Vec<String> = self
                     .procs
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, p)| p.parked_on.as_ref().map(|r| format!("proc {i} on {r}")))
+                    .filter_map(|(i, p)| p.parked_on.map(|r| format!("proc {i} on {r}")))
                     .collect();
                 let mut msg = blocked.join(", ");
                 // A deadlocked run produces no statistics to attach the
@@ -258,6 +464,12 @@ impl Engine {
                 return Err(SimError::Deadlock(msg));
             }
         }
+    }
+
+    /// The run's statistics once it has settled, or its error.
+    pub(crate) fn into_stats(mut self) -> Result<RunStats, SimError> {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.outcome.take().expect("run has settled")?;
         let wall = self
             .procs
             .iter()
@@ -283,37 +495,40 @@ impl Engine {
                     .collect(),
             })
             .collect();
+        let procs: Vec<ProcStats> = self.procs.into_iter().map(|p| p.stats).collect();
+        if cfg!(debug_assertions) {
+            check_conservation(&procs, &self.phase_acc);
+        }
         Ok(RunStats {
             wall_ns: wall,
-            events,
+            events: self.events,
             page_migrations: self.mem.page_migrations(),
             resources: self.mem.contention.summary(),
             ranges: self.profiler.into_profiles(&phase_names),
             trace: self.tracer.finish(phase_names),
             phases,
-            procs: self.procs.into_iter().map(|p| p.stats).collect(),
+            procs,
             sanitize,
             critpath,
         })
     }
 
-    fn accept(&mut self, p: usize, req: Request) -> Result<(), SimError> {
-        if let Request::Panic(msg) = req {
-            return Err(SimError::AppPanic(msg));
-        }
+    fn accept(&mut self, p: usize, req: Request) {
         debug_assert!(self.procs[p].pending.is_none(), "proc {p} double-submitted");
         self.procs[p].running = false;
         self.procs[p].pending = Some(req);
         self.heap.push(Reverse((self.procs[p].clock, p)));
-        Ok(())
     }
 
     fn reply(&mut self, p: usize, value: i64) {
-        self.procs[p].running = true;
-        self.procs[p].parked_on = None;
-        // A send failure means the thread died; the engine will notice via
-        // the request channel.
-        let _ = self.reply_tx[p].send(Reply { value });
+        let rt = &mut self.procs[p];
+        rt.running = true;
+        rt.parked_on = None;
+        let reply = Reply {
+            value,
+            ..std::mem::take(&mut rt.spare)
+        };
+        self.slots[p].put(SlotState::Ready(reply), p != self.me);
     }
 
     /// Interns a phase name, returning its id.
@@ -560,23 +775,23 @@ impl Engine {
         }
     }
 
-    fn process(&mut self, p: usize) -> Result<(), SimError> {
-        let req = self.procs[p]
+    fn process(&mut self, p: usize) {
+        let Request {
+            busy,
+            mut ops,
+            mut san,
+            action,
+        } = self.procs[p]
             .pending
             .take()
             .expect("heap entry without pending request");
-        match req {
-            Request::Ops { busy, ops, san } => {
-                self.apply_ops(p, busy, &ops, &san);
-                self.reply(p, 0);
-            }
-            Request::Phase {
-                busy,
-                ops,
-                san,
-                name,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
+        self.apply_ops(p, busy, &ops, &san);
+        ops.clear();
+        san.clear();
+        self.procs[p].spare = Reply { value: 0, ops, san };
+        match action {
+            Action::Flush => self.reply(p, 0),
+            Action::Phase(name) => {
                 let id = self.intern_phase(&name);
                 self.procs[p].phase = id;
                 if let Some(s) = self.sanitizer.as_deref_mut() {
@@ -588,16 +803,14 @@ impl Engine {
                 }
                 self.reply(p, 0);
             }
-            Request::Finish { busy, ops, san } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::Finish => {
                 let rt = &mut self.procs[p];
                 rt.stats.finish_ns = rt.clock;
                 rt.done = true;
                 rt.running = false;
                 self.done_count += 1;
             }
-            Request::Lock { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::Lock(id) => {
                 let addr = self.sync.locks[id].addr;
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
@@ -612,11 +825,10 @@ impl Engine {
                     self.lock_hold_start[id] = t;
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(format!("lock {id}"));
+                    self.procs[p].parked_on = Some(Blocked::Lock(id));
                 }
             }
-            Request::Unlock { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::Unlock(id) => {
                 if let Some(s) = self.sanitizer.as_deref_mut() {
                     s.lock_release(p, id);
                 }
@@ -681,8 +893,7 @@ impl Engine {
                 }
                 self.reply(p, 0);
             }
-            Request::Barrier { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::Barrier(id) => {
                 if let Some(s) = self.sanitizer.as_deref_mut() {
                     s.barrier_arrive(p, id);
                 }
@@ -760,17 +971,10 @@ impl Engine {
                         );
                     }
                 } else {
-                    self.procs[p].parked_on = Some(format!("barrier {id}"));
+                    self.procs[p].parked_on = Some(Blocked::Barrier(id));
                 }
             }
-            Request::FetchAdd {
-                busy,
-                ops,
-                san,
-                id,
-                delta,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::FetchAdd { id, delta } => {
                 if let Some(s) = self.sanitizer.as_deref_mut() {
                     s.fetch_add(p, id);
                 }
@@ -783,8 +987,7 @@ impl Engine {
                 self.sync.cells[id].value += delta;
                 self.reply(p, prev);
             }
-            Request::SemWait { busy, ops, san, id } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::SemWait(id) => {
                 let addr = self.sync.sems[id].addr;
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
@@ -797,17 +1000,10 @@ impl Engine {
                     }
                     self.reply(p, 0);
                 } else {
-                    self.procs[p].parked_on = Some(format!("semaphore {id}"));
+                    self.procs[p].parked_on = Some(Blocked::Sem(id));
                 }
             }
-            Request::SemPost {
-                busy,
-                ops,
-                san,
-                id,
-                n,
-            } => {
-                self.apply_ops(p, busy, &ops, &san);
+            Action::SemPost { id, n } => {
                 if let Some(s) = self.sanitizer.as_deref_mut() {
                     s.sem_post(p, id);
                 }
@@ -851,8 +1047,28 @@ impl Engine {
                 }
                 self.reply(p, 0);
             }
-            Request::Panic(_) => unreachable!("handled in accept"),
         }
-        Ok(())
+    }
+}
+
+/// Conservation at stats assembly: every processor's time splits exactly
+/// into busy, memory and synchronization, and its phase slices sum to its
+/// totals.
+fn check_conservation(procs: &[ProcStats], phase_acc: &[Vec<PhaseBreakdown>]) {
+    for (p, (s, slices)) in procs.iter().zip(phase_acc).enumerate() {
+        assert_eq!(
+            s.busy_ns + s.mem_ns + s.sync_ns(),
+            s.finish_ns,
+            "proc {p}: busy + mem + sync != finish"
+        );
+        let mut sum = PhaseBreakdown::default();
+        for slice in slices {
+            sum.add(slice);
+        }
+        assert_eq!(
+            (sum.busy_ns, sum.mem_ns, sum.sync_wait_ns, sum.sync_op_ns),
+            (s.busy_ns, s.mem_ns, s.sync_wait_ns, s.sync_op_ns),
+            "proc {p}: phase slices do not sum to its totals"
+        );
     }
 }

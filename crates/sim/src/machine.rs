@@ -2,7 +2,9 @@
 //!
 //! [`Machine`] is the public entry point: configure it, allocate shared
 //! data and synchronization objects, then [`Machine::run`] an application
-//! body on every simulated processor.
+//! body on every simulated processor. `run` spawns one thread per
+//! processor; those threads drive the engine themselves (see `engine.rs`),
+//! and the calling thread waits for them and assembles the statistics.
 //!
 //! ```
 //! use ccnuma_sim::machine::{Machine, Placement};
@@ -34,12 +36,11 @@
 //! ```
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{channel, sync_channel};
 use std::sync::{Arc, Once};
 
 use crate::config::MachineConfig;
 use crate::ctx::Ctx;
-use crate::engine::{Engine, FetchCell, SyncTables};
+use crate::engine::{Engine, FetchCell, Shared, SyncTables};
 use crate::error::SimError;
 use crate::memsys::MemorySystem;
 use crate::page::Addr;
@@ -316,13 +317,19 @@ impl Machine {
         let critpath = cfg
             .critpath
             .then(|| Box::new(crate::critpath::CritCollector::new(cfg.nprocs)));
-        let (req_tx, req_rx) = channel();
-        let mut reply_txs = Vec::with_capacity(cfg.nprocs);
+        let profile = cfg.profile;
+        let shared = Arc::new(Shared::new(Engine::new(
+            cfg.clone(),
+            mem,
+            sync,
+            profiler,
+            tracer,
+            sanitizer,
+            critpath,
+        )));
         let body = Arc::new(body);
         let mut handles = Vec::with_capacity(cfg.nprocs);
         for p in 0..cfg.nprocs {
-            let (rep_tx, rep_rx) = sync_channel(1);
-            reply_txs.push(rep_tx);
             let ctx = Ctx::new(
                 p,
                 cfg.nprocs,
@@ -330,58 +337,73 @@ impl Machine {
                 cfg.cost,
                 cfg.prefetch_enabled,
                 cfg.sanitize.enabled,
-                req_tx.clone(),
-                rep_rx,
+                Arc::clone(&shared),
             );
             let body = Arc::clone(&body);
             let handle = std::thread::Builder::new()
                 .name(format!("sim-proc-{p}"))
                 .stack_size(8 << 20)
                 .spawn(move || {
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                    match result {
-                        Ok(()) => ctx.finish(),
-                        Err(e) => {
-                            if e.downcast_ref::<EngineGone>().is_some() {
-                                // Engine aborted; exit silently.
-                                return;
-                            }
-                            let msg = e
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| e.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "unknown panic".into());
-                            ctx.report_panic(format!("proc {p}: {msg}"));
+                    // Engine events are dispatched on this thread too, so
+                    // it profiles them (and flushes on exit).
+                    let _prof = crate::prof::thread_scope(profile);
+                    ctx.bind_thread();
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                        body(&ctx);
+                        ctx.finish();
+                    }));
+                    if let Err(e) = result {
+                        if e.downcast_ref::<EngineGone>().is_some() {
+                            // Engine aborted; exit silently.
+                            return;
                         }
+                        let msg = e
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| e.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "unknown panic".into());
+                        ctx.report_panic(format!("proc {p}: {msg}"));
                     }
                 })
                 .expect("spawn simulated processor thread");
             handles.push(handle);
         }
-        drop(req_tx);
 
-        let engine = Engine::new(
-            cfg,
-            mem,
-            sync,
-            reply_txs.clone(),
-            req_rx,
-            profiler,
-            tracer,
-            sanitizer,
-            critpath,
-        );
-        let result = engine.run();
-        // Unblock any still-parked threads so join cannot hang: dropping
-        // the reply senders makes their next receive fail, unwinding them
-        // via the EngineGone sentinel.
-        drop(reply_txs);
+        // An aborted run has already woken every parked thread to unwind
+        // via the EngineGone sentinel, so join cannot hang.
+        shared.wait_settled();
         for h in handles {
             let _ = h.join();
         }
-        result
+        let engine = Arc::into_inner(shared)
+            .expect("processor threads joined")
+            .into_engine();
+        let _prof = crate::prof::thread_scope(profile);
+        let stats = engine.into_stats();
+        trim_heap();
+        stats
     }
 }
+
+/// Returns the pages a finished run freed to the OS. The engine runs on
+/// the processor threads, so a run's allocations (the sanitizer's shadow
+/// state above all) spread over several glibc malloc arenas, and each
+/// arena keeps its freed pages: without a trim, resident memory climbs
+/// toward one run's peak per arena rather than per run.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: glibc's `malloc_trim` only releases free memory; it takes
+    // each arena's lock itself and has no preconditions.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn trim_heap() {}
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -1,9 +1,9 @@
 //! Engine ↔ processor-thread protocol (crate internal).
 //!
-//! Application threads communicate with the engine through rendezvous
-//! channels: each engine-visible action is a [`Request`]; the engine
-//! unblocks the thread with a [`Reply`] once the action completes in
-//! virtual time.
+//! Each engine-visible action of an application thread is a [`Request`];
+//! the thread submits it and dispatches engine events itself (see
+//! `engine.rs`), and is unblocked by a [`Reply`] in its slot once the
+//! action completes in virtual time.
 
 use crate::page::Addr;
 use crate::time::Ns;
@@ -24,87 +24,52 @@ pub(crate) struct MemOp {
     pub kind: OpKind,
 }
 
-/// A request from an application thread to the engine. Every variant
-/// carries the busy time accumulated since the previous request, the
-/// buffered memory operations to apply first, and — when the sanitizer
-/// is enabled — the exact (uncoalesced) byte footprints of those
-/// operations in `san`, so race detection never sees the covering
-/// merges the timing stream makes (empty when sanitizing is off).
+/// A request from an application thread to the engine: the busy time
+/// accumulated since the previous request, the buffered memory operations
+/// to apply first, and — when the sanitizer is enabled — the exact
+/// (uncoalesced) byte footprints of those operations in `san`, so race
+/// detection never sees the covering merges the timing stream makes
+/// (empty when sanitizing is off). `action` is what happens after them.
 #[derive(Debug)]
-pub(crate) enum Request {
+pub(crate) struct Request {
+    pub busy: Ns,
+    pub ops: Vec<MemOp>,
+    pub san: Vec<MemOp>,
+    pub action: Action,
+}
+
+/// The engine-visible action that ends a [`Request`].
+#[derive(Debug)]
+pub(crate) enum Action {
     /// Flush buffered work only.
-    Ops {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-    },
+    Flush,
     /// Arrive at a barrier.
-    Barrier {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    Barrier(usize),
     /// Acquire a lock (blocks until granted).
-    Lock {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    Lock(usize),
     /// Release a lock.
-    Unlock {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    Unlock(usize),
     /// Atomic fetch-and-add on a fetch cell; the reply carries the prior value.
-    FetchAdd {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-        delta: i64,
-    },
+    FetchAdd { id: usize, delta: i64 },
     /// Decrement a semaphore, blocking while it is zero.
-    SemWait {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-    },
+    SemWait(usize),
     /// Increment a semaphore by `n`, waking blocked waiters.
-    SemPost {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        id: usize,
-        n: u32,
-    },
+    SemPost { id: usize, n: u32 },
     /// Marks the start of a named application phase for this processor;
     /// buffered work is charged to the previous phase first.
-    Phase {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-        name: String,
-    },
-    /// The application body returned.
-    Finish {
-        busy: Ns,
-        ops: Vec<MemOp>,
-        san: Vec<MemOp>,
-    },
-    /// The application body panicked; the engine aborts the run.
-    Panic(String),
+    Phase(String),
+    /// The application body returned; no reply follows.
+    Finish,
 }
 
 /// Engine reply unblocking a thread. `value` is meaningful only for
-/// [`Request::FetchAdd`].
-#[derive(Debug, Clone, Copy)]
+/// [`Action::FetchAdd`]. `ops` and `san` are the request's buffers,
+/// emptied, handed back so the thread refills them without regrowing.
+#[derive(Debug, Default)]
 pub(crate) struct Reply {
     pub value: i64,
+    pub ops: Vec<MemOp>,
+    pub san: Vec<MemOp>,
 }
 
 /// Sentinel panic payload used to silently unwind application threads when

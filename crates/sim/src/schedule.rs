@@ -20,8 +20,8 @@
 //! | semaphore wake on post       | FIFO               | seeded pick among the waiters   |
 //! | barrier wake sweep           | pid order          | seeded shuffle of the arrivals  |
 //!
-//! Every decision is made on the single coordinator thread, in the
-//! engine's deterministic event-processing order, from a hand-rolled
+//! Every decision is made under the engine lock, in the engine's
+//! deterministic event-processing order, from a hand-rolled
 //! [`SplitMix64`] stream — so a given `(program, config, seed)` replays
 //! bit-identically, on any host, at any `--jobs` count. With
 //! `cfg.schedule` unset the engine takes its original code paths and is
@@ -120,9 +120,9 @@ impl SplitMix64 {
     }
 }
 
-/// The engine-side decision maker. One per run, owned by the coordinator
-/// thread; every method call consumes the seeded stream in deterministic
-/// event order.
+/// The engine-side decision maker. One per run, owned by the engine;
+/// every method call consumes the seeded stream in deterministic event
+/// order, whichever thread is dispatching.
 #[derive(Debug)]
 pub(crate) struct Perturber {
     rng: SplitMix64,

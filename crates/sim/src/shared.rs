@@ -7,13 +7,17 @@
 //!
 //! # Safety model
 //!
-//! `SharedVec` uses interior mutability across threads. This is sound
-//! because the engine runs exactly one application thread at a time and the
-//! rendezvous channels establish happens-before edges between every pair of
-//! execution slices. A racy application (two processors writing the same
-//! element between synchronization points) observes engine-scheduling-
-//! dependent values — deterministic for a given program and machine, but
-//! not UB.
+//! `SharedVec` uses interior mutability across threads. Every engine
+//! request is taken under the engine mutex, and every reply is delivered
+//! through the owner's slot lock and unpark, so an access made after a
+//! synchronization operation happens-after every access the engine ordered
+//! before it: programs whose conflicting accesses are separated by
+//! simulated synchronization are data-race-free on the host too. Threads
+//! do run application code concurrently between requests (after a barrier
+//! wakes many of them, for instance), so a racy application (two
+//! processors touching the same element between synchronization points,
+//! one of them writing) races on host memory as well; the sanitizer
+//! ([`crate::sanitize`]) reports such races in simulated terms.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;

@@ -121,6 +121,28 @@ fn app_panic_is_reported_not_hung() {
 }
 
 #[test]
+fn engine_assertion_is_reported_not_hung() {
+    // The engine runs on whichever processor thread dispatches, so its own
+    // checks fail on an application thread: the run must still end with
+    // an error, with the other processors unwound, not hang or abort.
+    let mut m = Machine::new(cfg(4)).unwrap();
+    let l = m.lock();
+    let b = m.barrier();
+    let err = m
+        .run(move |ctx| {
+            if ctx.id() == 1 {
+                ctx.unlock(l); // never acquired
+            }
+            ctx.barrier(b);
+        })
+        .unwrap_err();
+    match err {
+        SimError::AppPanic(msg) => assert!(msg.contains("unlock by non-holder 1"), "{msg}"),
+        other => panic!("expected panic, got {other}"),
+    }
+}
+
+#[test]
 fn runs_are_deterministic() {
     let run_once = || {
         let mut m = Machine::new(cfg(8)).unwrap();

@@ -30,8 +30,9 @@ fn cfg(nprocs: usize, schedule: Option<ScheduleConfig>) -> MachineConfig {
 /// with multi-waiter queues, semaphore wake-ups, barrier wake sweeps and
 /// same-time heap ties.
 fn contended_workload(c: MachineConfig) -> Result<RunStats, SimError> {
+    let n = c.nprocs;
     let mut m = Machine::new(c)?;
-    let x = m.shared_vec::<f64>(1024, Placement::Blocked);
+    let x = m.shared_vec::<f64>(1024.max(256 + 64 * n), Placement::Blocked);
     let l = m.lock();
     let b = m.barrier();
     let s = m.semaphore(1);
@@ -210,4 +211,44 @@ fn barrier_divergence_lint_survives_perturbation() {
             other => panic!("seed {seed}: expected deadlock, got {other}"),
         }
     }
+}
+
+/// Digests of seeded schedules at 4 and 16 processors, captured from the
+/// engine while it still ran on a coordinator thread fed by channels.
+/// They pin every lock, semaphore, barrier and heap-tie choice the
+/// perturber makes, so an executor change that reorders any of them
+/// fails here even where the unperturbed records stay the same.
+#[test]
+fn seeded_schedules_match_pinned_digests() {
+    type Pin = (usize, bool, u64, (u64, u64, u64));
+    const PINS: [Pin; 16] = [
+        (4, false, 1, (7013, 84, 0x231e_69a3_1c1d_7b88)),
+        (4, false, 2, (6805, 84, 0x641f_ebd6_ac15_ef3f)),
+        (4, false, 3, (6753, 84, 0xb97f_1662_78e5_11e1)),
+        (4, false, 4, (6596, 84, 0xcdc2_ad0b_253d_12eb)),
+        (4, true, 1, (6743, 84, 0x2d30_d0e3_2530_5b18)),
+        (4, true, 2, (7123, 84, 0x6979_2df7_59df_168c)),
+        (4, true, 3, (6589, 84, 0x116d_8c15_2e15_cb83)),
+        (4, true, 4, (6552, 84, 0x263d_ec5c_7969_e250)),
+        (16, false, 1, (20309, 336, 0xcc58_d1ad_8603_8cf0)),
+        (16, false, 2, (19885, 336, 0xa297_693c_4a62_1b59)),
+        (16, false, 3, (20424, 336, 0xcf11_940a_b296_d9ab)),
+        (16, false, 4, (20176, 336, 0x9dfd_65c9_2fc4_9549)),
+        (16, true, 1, (18671, 336, 0x8675_a409_c286_d789)),
+        (16, true, 2, (20585, 336, 0x4395_3f38_4812_6c97)),
+        (16, true, 3, (20041, 336, 0xc39b_2cb6_9f02_c222)),
+        (16, true, 4, (19965, 336, 0x8247_b41a_3bdf_a011)),
+    ];
+    for (n, pct, seed, want) in PINS {
+        let sc = if pct {
+            ScheduleConfig::pct(seed, 16)
+        } else {
+            ScheduleConfig::random(seed)
+        };
+        let got = digest(&contended_workload(cfg(n, Some(sc))).unwrap());
+        assert_eq!(got, want, "{n}p {sc:?}");
+    }
+    // The unperturbed 16p run, for the same reason.
+    let got = digest(&contended_workload(cfg(16, None)).unwrap());
+    assert_eq!(got, (18440, 336, 0x7394_2fb6_2407_04b4));
 }

@@ -1,9 +1,9 @@
 //! `ccnuma-sweep`: a parallel, resumable experiment-orchestration
 //! engine for the paper's full matrix.
 //!
-//! One simulation uses roughly one host core (the engine advances
-//! virtual time on a coordinator thread and parks the per-processor
-//! threads behind it), so the full `apps × versions × procs` matrix is
+//! One simulation uses roughly one host core (the per-processor threads
+//! take turns advancing the engine in virtual-time order, parked while
+//! they wait), so the full `apps × versions × procs` matrix is
 //! embarrassingly parallel across *cells*. This crate fans the cells
 //! out over a std-only [work-stealing pool](pool), identifies every
 //! cell by a [content hash](key) of everything that determines its

@@ -361,6 +361,71 @@ mod tests {
         assert!(parse(at_cap.as_bytes()).is_ok());
     }
 
+    /// Seeded random-bytes fuzz of the parser: random token soup,
+    /// truncations and byte flips of valid requests, and lines around
+    /// [`MAX_LINE`]. Every input must parse or fail, never panic.
+    #[test]
+    fn random_bytes_never_panic_the_parser() {
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |bound: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let valid: [&[u8]; 4] = [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"POST /sweep HTTP/1.1\r\nContent-Length: 8\r\n\r\napps=fft",
+            b"GET /jobs/3/events HTTP/1.0\r\nAccept: */*\r\nX: y\r\n\r\n",
+            b"POST /shutdown HTTP/1.1\r\ncontent-length:0\r\n\r\n",
+        ];
+        let soup: &[u8] =
+            b"GET|POST| |/|HTTP/1.1|\r\n|\n|:|Content-Length|18446744073709551616|7|\xff\xfe|\0|x";
+        let tokens: Vec<&[u8]> = soup.split(|&c| c == b'|').collect();
+        let mut parsed = 0;
+        for i in 0..10_000 {
+            let base = valid[next(valid.len())];
+            let input: Vec<u8> = match i % 5 {
+                0 => (0..next(200)).map(|_| next(256) as u8).collect(),
+                1 => (0..next(40))
+                    .flat_map(|_| tokens[next(tokens.len())].iter().copied())
+                    .collect(),
+                2 => base[..next(base.len() + 1)].to_vec(),
+                3 => {
+                    let mut v = base.to_vec();
+                    for _ in 0..1 + next(3) {
+                        let at = next(v.len());
+                        v[at] = next(256) as u8;
+                    }
+                    v
+                }
+                _ => {
+                    let head = if next(2) == 0 {
+                        "GET /"
+                    } else {
+                        "GET / HTTP/1.1\r\nX: "
+                    };
+                    let len = MAX_LINE - 16 + next(32);
+                    format!("{head}{}\r\n\r\n", "a".repeat(len)).into_bytes()
+                }
+            };
+            let got = std::panic::catch_unwind(|| parse(&input));
+            let Ok(got) = got else {
+                panic!("parser panicked on {:?}", String::from_utf8_lossy(&input));
+            };
+            if let Ok(req) = got {
+                assert!(req.path.starts_with('/') && !req.method.is_empty());
+                assert!(req.body.len() <= MAX_BODY);
+                parsed += 1;
+            }
+        }
+        assert!(
+            parsed > 100,
+            "too few inputs parsed ({parsed}) to exercise success paths"
+        );
+    }
+
     #[test]
     fn responses_and_event_streams_are_framed() {
         let mut out = Vec::new();

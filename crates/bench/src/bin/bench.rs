@@ -1,16 +1,18 @@
-//! `bench` — attribution regression harness and matrix sweep driver.
+//! `bench` — accuracy and throughput gates, and the matrix sweep driver.
 //!
 //! ```text
-//! bench regress [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!               [--telemetry]
+//! bench regress [--check] [--tolerance <pct>] [--jobs <n>] [--telemetry]
 //!
-//! regress             run the pinned workload matrix and write the
-//!                     attribution snapshot to BENCH_attrib.json
-//! --check             compare the current tree against the committed
-//!                     baseline instead of overwriting it; exit 1 on drift
-//!                     (the fresh measurement is left in
-//!                     BENCH_attrib.current.json for inspection)
-//! --baseline <file>   baseline path (default BENCH_attrib.json)
+//! regress             run the pinned workload matrix once, with miss
+//!                     classification and the critical-path profiler on,
+//!                     print the on-path busy/memory/sync split and
+//!                     headline what-if speedups, and write the
+//!                     attribution snapshot to BENCH_attrib.json and the
+//!                     critical-path snapshot to BENCH_critpath.json
+//! --check             gate both documents against the committed
+//!                     baselines instead of overwriting them; exit 1 on
+//!                     drift (each drifted document's fresh measurement is
+//!                     left in BENCH_<x>.current.json for inspection)
 //! --tolerance <pct>   allowed relative drift per metric (default 2.0)
 //! --jobs <n>          simulate matrix points on n host threads (default 1;
 //!                     results are bit-identical at any job count)
@@ -19,31 +21,16 @@
 //!                     server); with --check this is the observer-
 //!                     passivity gate — results must stay bit-identical
 //!
-//! bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!
-//! critpath            run the pinned workload matrix with the
-//!                     critical-path profiler on, print the on-path
-//!                     busy/memory/sync split and headline what-if
-//!                     speedups, and write the snapshot to
-//!                     BENCH_critpath.json
-//! --check             gate against the committed baseline instead of
-//!                     overwriting it; exit 1 on drift (the fresh
-//!                     measurement lands in BENCH_critpath.current.json)
-//! --baseline <file>   baseline path (default BENCH_critpath.json)
-//! --tolerance <pct>   allowed relative drift per metric (default 2.0)
-//! --jobs <n>          simulate matrix points on n host threads (default 1;
-//!                     output is bit-identical at any job count)
-//!
-//! bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]
-//!            [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]
+//! bench perf [--check] [--tolerance <pct>] [--jobs <n>] [--reps <k>]
+//!            [--json <file>] [--profile <file>] [--no-overhead]
 //!
 //! perf                time the pinned workload matrix on the host clock
 //!                     (median of --reps repetitions after a discarded
 //!                     warmup) and write the throughput snapshot to
 //!                     BENCH_engine.json; also measures the host-time
 //!                     overhead of each optional subsystem (attrib,
-//!                     trace, sanitize, profile, live) against an
-//!                     all-off pass
+//!                     trace, sanitize, critpath, profile, live) against
+//!                     an all-off pass
 //! --check             gate against the committed baseline instead of
 //!                     overwriting it; exit 1 on drift (the fresh
 //!                     measurement lands in BENCH_engine.current.json).
@@ -51,7 +38,6 @@
 //!                     is judged after dividing out the matrix-wide
 //!                     machine-speed factor, so only *relative* per-cell
 //!                     regressions fail
-//! --baseline <file>   baseline path (default BENCH_engine.json)
 //! --tolerance <pct>   allowed relative ns/event drift (default 35.0)
 //! --reps <k>          timed repetitions per cell (default 3)
 //! --json <file>       also write the full report (entries + overhead
@@ -158,10 +144,11 @@
 //!
 //! exit status: 0 clean; 1 quarantined cells, drift, or sanitizer
 //! findings (sanitize: findings only); 2 usage, a --require-cached miss,
-//! or sanitize infrastructure failures (quarantined / missing reports).
+//! a gate baseline that cannot be read or written, or sanitize
+//! infrastructure failures (quarantined / missing reports).
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ccnuma_sim::json::quote;
@@ -170,21 +157,11 @@ use ccnuma_sweep::{sweep, SweepConfig};
 use ccnuma_telemetry::hub::{Hub, HubConfig};
 use study_bench::{critpath, live, perf, regress, schedsan};
 
-const DEFAULT_BASELINE: &str = "BENCH_attrib.json";
-const DEFAULT_PERF_BASELINE: &str = "BENCH_engine.json";
-const DEFAULT_CRITPATH_BASELINE: &str = "BENCH_critpath.json";
-
 fn usage(code: i32) -> ! {
+    eprintln!("usage: bench regress [--check] [--tolerance <pct>] [--jobs <n>] [--telemetry]");
     eprintln!(
-        "usage: bench regress [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]\n\
-         \x20                  [--telemetry]"
-    );
-    eprintln!(
-        "       bench critpath [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]"
-    );
-    eprintln!(
-        "       bench perf [--check] [--baseline <file>] [--tolerance <pct>] [--jobs <n>]\n\
-         \x20                  [--reps <k>] [--json <file>] [--profile <file>] [--no-overhead]"
+        "       bench perf [--check] [--tolerance <pct>] [--jobs <n>] [--reps <k>]\n\
+         \x20                  [--json <file>] [--profile <file>] [--no-overhead]"
     );
     eprintln!(
         "       bench sweep [key=value ...] [--jobs <n>] [--store <file>] [--resume]\n\
@@ -220,7 +197,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("regress") => cmd_regress(&args[1..]),
-        Some("critpath") => cmd_critpath(&args[1..]),
         Some("perf") => cmd_perf(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -242,44 +218,95 @@ fn parse_count(it: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
     }
 }
 
-fn cmd_regress(args: &[String]) -> ! {
-    let mut check = false;
-    let mut baseline = DEFAULT_BASELINE.to_string();
-    let mut tolerance = 100.0 * regress::DEFAULT_TOLERANCE;
-    let mut jobs = 1;
-    let mut telemetry = false;
+/// The flags the gate subcommands (`bench regress`, `bench perf`) share.
+struct GateArgs {
+    check: bool,
+    /// Allowed relative drift, as a fraction (`--tolerance 2` is 0.02).
+    tolerance: f64,
+    jobs: usize,
+}
+
+/// Parses the shared gate flags, starting from the default `tolerance`.
+/// Every other flag goes to `other`, which takes any value from the
+/// remaining arguments and returns false for a flag it does not know.
+fn gate_args(
+    args: &[String],
+    tolerance: f64,
+    mut other: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> bool,
+) -> GateArgs {
+    let mut gate = GateArgs {
+        check: false,
+        tolerance,
+        jobs: 1,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--check" => check = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = f.clone(),
-                None => usage(2),
+            "--check" => gate.check = true,
+            "--tolerance" => match it.next().and_then(|t| parse_tolerance(t)) {
+                Some(t) => gate.tolerance = t,
+                None => {
+                    eprintln!("error: --tolerance needs a finite, non-negative percentage");
+                    usage(2);
+                }
             },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) if t >= 0.0 => tolerance = t,
-                _ => usage(2),
-            },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--telemetry" => telemetry = true,
+            "--jobs" => gate.jobs = parse_count(&mut it, "--jobs"),
             "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
+            flag if other(flag, &mut it) => {}
+            flag => {
+                eprintln!("error: unexpected argument {flag:?}");
                 usage(2);
             }
         }
     }
+    gate
+}
+
+/// A `--tolerance` percentage as a fraction; `None` unless it is finite
+/// and non-negative (`"inf"` would otherwise pass any drift).
+fn parse_tolerance(pct: &str) -> Option<f64> {
+    let t = pct.parse::<f64>().ok()?;
+    (t.is_finite() && t >= 0.0).then_some(t / 100.0)
+}
+
+/// Writes the baselines (or, with `check`, gates against them) and exits
+/// with the verdict: 0 when the gates pass, 1 on drift, 2 when a baseline
+/// cannot be read, parsed or written.
+fn write_or_check(cmd: &str, check: bool, gates: &[regress::Gate]) -> ! {
+    match regress::write_or_check(Path::new("."), cmd, check, gates) {
+        Ok(msgs) => std::process::exit(i32::from(!msgs.is_empty())),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `bench regress`: one pass over the pinned matrix with miss
+/// classification and the critical-path profiler on, written to (or,
+/// with `--check`, gated against) `BENCH_attrib.json` and
+/// `BENCH_critpath.json`.
+fn cmd_regress(args: &[String]) -> ! {
+    let mut telemetry = false;
+    let gate = gate_args(args, regress::DEFAULT_TOLERANCE, |flag, _| match flag {
+        "--telemetry" => {
+            telemetry = true;
+            true
+        }
+        _ => false,
+    });
 
     eprintln!(
-        "[bench] measuring the pinned matrix ({} apps x {} proc counts, {jobs} job(s))...",
+        "[bench] measuring the pinned matrix ({} apps x {} proc counts, {} job(s))...",
         regress::MATRIX_APPS.len(),
-        regress::MATRIX_PROCS.len()
+        regress::MATRIX_PROCS.len(),
+        gate.jobs
     );
     // With --telemetry the whole observer stack runs during the
     // measurement: the registry refresher, the rate pipeline, and the
     // HTTP/SSE server on a loopback port. The comparison below is then
     // the observer-passivity gate: telemetry on or off, the attribution
-    // numbers must be bit-identical.
+    // and critical-path numbers must be bit-identical.
     let observer = telemetry.then(|| {
         let wiring = live::Wiring::start(Duration::from_millis(100));
         let hub = Hub::start(
@@ -298,7 +325,7 @@ fn cmd_regress(args: &[String]) -> ! {
         (wiring, hub)
     });
     let t0 = std::time::Instant::now();
-    let current = match regress::measure_with_jobs(jobs) {
+    let (attrib, crit) = match regress::measure(gate.jobs) {
         Ok(c) => c,
         Err(e) => fail(&format!("measurement failed: {e}")),
     };
@@ -308,177 +335,34 @@ fn cmd_regress(args: &[String]) -> ! {
     }
     eprintln!(
         "[bench] measured {} points in {:.1?}",
-        current.len(),
+        attrib.len(),
         t0.elapsed()
     );
-
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, regress::to_json(&current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench regress`)"
-        )),
-    };
-    let base = match regress::parse(&doc) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = regress::compare(&base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} points within {tolerance}% of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, regress::to_json(&current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} drift(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
-}
-
-/// `bench critpath`: run the pinned matrix with the critical-path
-/// profiler on and (with `--check`) gate the on-path composition and
-/// what-if projections against `BENCH_critpath.json`.
-fn cmd_critpath(args: &[String]) -> ! {
-    let mut check = false;
-    let mut baseline = DEFAULT_CRITPATH_BASELINE.to_string();
-    let mut tolerance = 100.0 * critpath::DEFAULT_TOLERANCE;
-    let mut jobs = 1;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = f.clone(),
-                None => usage(2),
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) if t >= 0.0 => tolerance = t,
-                _ => usage(2),
-            },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                usage(2);
-            }
-        }
-    }
-
-    eprintln!(
-        "[bench] profiling the pinned matrix ({} apps x {} proc counts, {jobs} job(s))...",
-        regress::MATRIX_APPS.len(),
-        regress::MATRIX_PROCS.len()
-    );
-    let t0 = std::time::Instant::now();
-    let current = match critpath::measure_with_jobs(jobs) {
-        Ok(c) => c,
-        Err(e) => fail(&format!("measurement failed: {e}")),
-    };
-    eprintln!(
-        "[bench] profiled {} points in {:.1?}",
-        current.len(),
-        t0.elapsed()
-    );
-    eprint!("{}", critpath::table(&current));
-
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, critpath::to_json(&current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench critpath`)"
-        )),
-    };
-    let base = match critpath::parse(&doc) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = critpath::compare(&base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} points within {tolerance}% of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, critpath::to_json(&current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} drift(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
+    eprint!("{}", critpath::table(&crit));
+    let gates = regress::gates(&attrib, &crit, gate.tolerance);
+    write_or_check("bench regress", gate.check, &gates)
 }
 
 /// `bench perf`: time the pinned matrix, report subsystem overhead, and
 /// (with `--check`) gate host throughput against `BENCH_engine.json`.
 fn cmd_perf(args: &[String]) -> ! {
-    let mut check = false;
-    let mut baseline = DEFAULT_PERF_BASELINE.to_string();
-    let mut tolerance = 100.0 * perf::DEFAULT_TOLERANCE;
-    let mut jobs = 1;
     let mut reps = perf::DEFAULT_REPS;
     let mut json_out: Option<PathBuf> = None;
     let mut profile_out: Option<PathBuf> = None;
     let mut overhead = true;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = f.clone(),
-                None => usage(2),
-            },
-            "--tolerance" => match it.next().map(|t| t.parse::<f64>()) {
-                Some(Ok(t)) if t >= 0.0 => tolerance = t,
-                _ => usage(2),
-            },
-            "--jobs" => jobs = parse_count(&mut it, "--jobs"),
-            "--reps" => reps = parse_count(&mut it, "--reps"),
-            "--json" => match it.next() {
-                Some(f) => json_out = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--profile" => match it.next() {
-                Some(f) => profile_out = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--no-overhead" => overhead = false,
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                usage(2);
+    let gate = gate_args(args, perf::DEFAULT_TOLERANCE, |flag, rest| {
+        match flag {
+            "--reps" => reps = parse_count(rest, "--reps"),
+            "--json" => json_out = Some(PathBuf::from(rest.next().unwrap_or_else(|| usage(2)))),
+            "--profile" => {
+                profile_out = Some(PathBuf::from(rest.next().unwrap_or_else(|| usage(2))))
             }
+            "--no-overhead" => overhead = false,
+            _ => return false,
         }
-    }
+        true
+    });
+    let jobs = gate.jobs;
 
     eprintln!(
         "[bench] timing the pinned matrix ({} apps x {} proc counts, \
@@ -487,7 +371,7 @@ fn cmd_perf(args: &[String]) -> ! {
         regress::MATRIX_PROCS.len()
     );
     let t0 = std::time::Instant::now();
-    let current = match perf::measure_with_jobs(jobs, reps) {
+    let current = match perf::measure(jobs, reps) {
         Ok(c) => c,
         Err(e) => fail(&format!("measurement failed: {e}")),
     };
@@ -555,44 +439,8 @@ fn cmd_perf(args: &[String]) -> ! {
         eprintln!("[bench] wrote perf report to {}", path.display());
     }
 
-    if !check {
-        if let Err(e) = std::fs::write(&baseline, perf::to_json(reps, &current)) {
-            fail(&format!("cannot write {baseline}: {e}"));
-        }
-        eprintln!("[bench] wrote baseline {baseline}");
-        std::process::exit(0);
-    }
-
-    let doc = match std::fs::read_to_string(&baseline) {
-        Ok(d) => d,
-        Err(e) => fail(&format!(
-            "cannot read baseline {baseline}: {e} (generate it with `bench perf`)"
-        )),
-    };
-    let (model, _, base) = match perf::parse(&doc) {
-        Ok(p) => p,
-        Err(e) => fail(&format!("malformed baseline {baseline}: {e}")),
-    };
-    let msgs = perf::compare(&model, &base, &current, tolerance / 100.0);
-    if msgs.is_empty() {
-        eprintln!(
-            "[bench] OK: {} cells within {tolerance}% (relative) of {baseline}",
-            current.len()
-        );
-        std::process::exit(0);
-    }
-    let current_path = format!("{baseline}.current.json");
-    let current_path = current_path.replace(".json.current.json", ".current.json");
-    if let Err(e) = std::fs::write(&current_path, perf::to_json(reps, &current)) {
-        eprintln!("warning: cannot write {current_path}: {e}");
-    } else {
-        eprintln!("[bench] fresh measurement written to {current_path}");
-    }
-    eprintln!("[bench] FAIL: {} violation(s) vs {baseline}:", msgs.len());
-    for m in &msgs {
-        eprintln!("  {m}");
-    }
-    std::process::exit(1);
+    let gates = [perf::gate(reps, &current, gate.tolerance)];
+    write_or_check("bench perf", gate.check, &gates)
 }
 
 fn cmd_sweep(args: &[String]) -> ! {
@@ -1108,4 +956,18 @@ fn findings_json(dsl: &str, out: &ccnuma_sweep::SweepOutcome) -> String {
     }
     s.push_str("\n  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_tolerance;
+
+    #[test]
+    fn tolerance_is_a_finite_non_negative_percentage() {
+        assert_eq!(parse_tolerance("2.5"), Some(0.025));
+        assert_eq!(parse_tolerance("0"), Some(0.0));
+        for bad in ["inf", "infinity", "1e999", "NaN", "-1", "x", ""] {
+            assert_eq!(parse_tolerance(bad), None, "{bad:?}");
+        }
+    }
 }

@@ -1,8 +1,9 @@
-//! The critical-path regression harness behind `bench critpath`: runs the
-//! pinned workload matrix (the same one `bench regress` uses) with
-//! critical-path profiling on, snapshots each cell's on-path composition
-//! and what-if projections to `BENCH_critpath.json`, and gates changes
-//! against the committed baseline with a relative tolerance.
+//! The critical-path half of the accuracy gate behind `bench regress`:
+//! the same pass over the pinned workload matrix that snapshots
+//! `BENCH_attrib.json` runs with critical-path profiling on, and this
+//! module turns each cell's on-path composition and what-if projections
+//! into `BENCH_critpath.json` and gates changes against the committed
+//! baseline with a relative tolerance.
 //!
 //! The simulator — and the collector, which consumes its deterministic
 //! event stream — is bit-deterministic, so the baseline is expected to
@@ -12,14 +13,10 @@
 use ccnuma_sim::critpath::CritReport;
 use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::time::Ns;
-use scaling_study::experiments::{basic, Scale};
 use scaling_study::report::Table;
-use scaling_study::runner::{Runner, StudyError};
+use splash_apps::common::Workload;
 
-use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
-
-/// Default relative tolerance of the drift gate.
-pub const DEFAULT_TOLERANCE: f64 = 0.02;
+use crate::regress::{drift, pair};
 
 /// Names of the seven on-path buckets, in [`CritEntry::path`] order.
 pub const PATH_NAMES: [&str; 7] = [
@@ -87,91 +84,34 @@ impl CritEntry {
             self.wall_ns as f64 / self.whatif[i] as f64
         }
     }
-}
 
-fn entry_from(app: String, problem: String, nprocs: usize, rep: &CritReport) -> CritEntry {
-    let t = &rep.total;
-    let mut whatif = [0u64; 6];
-    for (slot, w) in whatif.iter_mut().zip(&rep.whatif) {
-        *slot = w.wall_ns;
-    }
-    CritEntry {
-        app,
-        problem,
-        nprocs,
-        wall_ns: rep.wall_ns,
-        path: [
-            t.busy_ns,
-            t.sync_op_ns,
-            t.mem_local_ns,
-            t.mem_remote_ns,
-            t.lock_wait_ns,
-            t.barrier_wait_ns,
-            t.sem_wait_ns,
-        ],
-        whatif,
-    }
-}
-
-/// Runs the pinned matrix with critical-path profiling (and miss
-/// classification, so the path's cause/resource detail is populated) and
-/// returns one entry per (app, procs) point.
-///
-/// # Errors
-///
-/// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<CritEntry>, StudyError> {
-    let scale = Scale::Quick;
-    let mut runner = Runner::new(scale.cache_bytes());
-    runner.set_attrib(true);
-    runner.set_critpath(true);
-    let mut out = Vec::new();
-    for &id in MATRIX_APPS {
-        let w = basic(id, scale);
-        for &np in MATRIX_PROCS {
-            let rec = runner.run(w.as_ref(), np)?;
-            let rep = rec
-                .stats
-                .critpath
-                .as_ref()
-                .expect("critpath enabled on every matrix run");
-            out.push(entry_from(rec.app, rec.problem, rec.nprocs, rep));
+    /// The entry for one matrix point, read off its collected report.
+    pub(crate) fn from_report(w: &dyn Workload, nprocs: usize, rep: &CritReport) -> Self {
+        let t = &rep.total;
+        let mut whatif = [0u64; 6];
+        for (slot, w) in whatif.iter_mut().zip(&rep.whatif) {
+            *slot = w.wall_ns;
+        }
+        Self {
+            app: w.name(),
+            problem: w.problem(),
+            nprocs,
+            wall_ns: rep.wall_ns,
+            path: [
+                t.busy_ns,
+                t.sync_op_ns,
+                t.mem_local_ns,
+                t.mem_remote_ns,
+                t.lock_wait_ns,
+                t.barrier_wait_ns,
+                t.sem_wait_ns,
+            ],
+            whatif,
         }
     }
-    Ok(out)
 }
 
-/// [`measure`] fanned out over the sweep engine's work-stealing pool:
-/// the same pinned matrix, the same entries in the same order, each
-/// point simulated on its own host thread — and still bit-identical to
-/// [`measure`], which `measure_is_jobs_invariant` pins.
-///
-/// # Errors
-///
-/// Propagates the first simulation or verification failure in matrix
-/// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<CritEntry>, StudyError> {
-    let scale = Scale::Quick;
-    let points: Vec<(&str, usize)> = MATRIX_APPS
-        .iter()
-        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
-        .collect();
-    let (results, _) = ccnuma_sweep::pool::run(&points, jobs, |&(id, np)| {
-        let w = basic(id, scale);
-        let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
-        cfg.classify_misses = true;
-        cfg.critpath = true;
-        let (_, stats) = scaling_study::runner::execute_workload(w.as_ref(), cfg)?;
-        let rep = stats
-            .critpath
-            .as_ref()
-            .expect("critpath enabled on every matrix run");
-        Ok(entry_from(w.name(), w.problem(), np, rep))
-    });
-    results.into_iter().collect()
-}
-
-/// Renders entries as the `bench critpath` summary table: on-path
+/// Renders entries as the `bench regress` critical-path table: on-path
 /// shares and the headline what-if speedups per matrix point.
 pub fn table(entries: &[CritEntry]) -> Table {
     let mut t = Table::new(
@@ -240,39 +180,16 @@ pub fn parse(doc: &str) -> Result<Vec<CritEntry>, String> {
 /// returns one message per drifted metric, missing point, or new point.
 /// An empty result means the gate passes.
 pub fn compare(baseline: &[CritEntry], current: &[CritEntry], tolerance: f64) -> Vec<String> {
-    let drifts = |key: &str, name: &str, base: u64, cur: u64, out: &mut Vec<String>| {
-        let denom = base.max(1) as f64;
-        let rel = (cur as f64 - base as f64) / denom;
-        if rel.abs() > tolerance {
-            out.push(format!(
-                "{key}: {name} drifted {:+.2}% (baseline {base}, current {cur})",
-                100.0 * rel
-            ));
-        }
-    };
     let mut out = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
-            out.push(format!("{}: missing from current run", b.key()));
-            continue;
-        };
+    for (b, c) in pair(baseline, current, CritEntry::key, "bench regress", &mut out) {
         let key = b.key();
-        drifts(&key, "wall_ns", b.wall_ns, c.wall_ns, &mut out);
+        let mut d = |name: &str, base, cur| drift(&mut out, &key, name, base, cur, tolerance);
+        d("wall_ns", b.wall_ns, c.wall_ns);
         for (i, (bp, cp)) in b.path.iter().zip(&c.path).enumerate() {
-            let name = format!("path[{}]", PATH_NAMES[i]);
-            drifts(&key, &name, *bp, *cp, &mut out);
+            d(&format!("path[{}]", PATH_NAMES[i]), *bp, *cp);
         }
         for (i, (bw, cw)) in b.whatif.iter().zip(&c.whatif).enumerate() {
-            let name = format!("whatif[{}]", SCENARIO_NAMES[i]);
-            drifts(&key, &name, *bw, *cw, &mut out);
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench critpath`)",
-                c.key()
-            ));
+            d(&format!("whatif[{}]", SCENARIO_NAMES[i]), *bw, *cw);
         }
     }
     out
@@ -281,6 +198,7 @@ pub fn compare(baseline: &[CritEntry], current: &[CritEntry], tolerance: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{measure, MATRIX_APPS, MATRIX_PROCS};
 
     fn entry(app: &str, np: usize, wall: u64) -> CritEntry {
         CritEntry {
@@ -335,7 +253,7 @@ mod tests {
 
     #[test]
     fn measure_covers_matrix_and_reconciles() {
-        let entries = measure().unwrap();
+        let (_, entries) = measure(1).unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
             assert_eq!(
@@ -362,17 +280,17 @@ mod tests {
             }
         }
         // Determinism: measuring again reproduces the snapshot bit-exactly.
-        let again = measure().unwrap();
+        let (_, again) = measure(1).unwrap();
         assert_eq!(entries, again);
     }
 
     #[test]
     fn measure_is_jobs_invariant() {
-        // The parallel path must reproduce the serial snapshot bit for
-        // bit, in the same pinned order — otherwise routing `bench
-        // critpath` through the pool would churn BENCH_critpath.json.
-        let serial = measure().unwrap();
-        let parallel = measure_with_jobs(4).unwrap();
+        // The pool must reproduce the one-job snapshot bit for bit, in
+        // the same pinned order — otherwise `--jobs` would churn
+        // BENCH_critpath.json.
+        let (_, serial) = measure(1).unwrap();
+        let (_, parallel) = measure(4).unwrap();
         assert_eq!(serial, parallel);
     }
 }

@@ -20,10 +20,9 @@ use std::time::Instant;
 use ccnuma_sim::config::MachineConfig;
 use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::prof::{self, HostProfile};
-use scaling_study::experiments::{basic, Scale};
 use scaling_study::runner::{execute_workload, StudyError};
 
-use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
+use crate::regress::{over_matrix, pair, Gate, MATRIX_APPS, MATRIX_PROCS};
 
 /// Default relative tolerance of the throughput gate. Deliberately far
 /// looser than the accuracy gate's 2%: wall clocks on shared CI runners
@@ -38,7 +37,7 @@ pub const DEFAULT_REPS: usize = 3;
 /// [`measure_overheads`], in report order. `"baseline"` (all off) is
 /// implicit; `"live"` runs the full telemetry wiring (registry +
 /// refresher) beside an unmodified config.
-pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "profile", "live"];
+pub const OVERHEAD_MODES: &[&str] = &["attrib", "trace", "sanitize", "critpath", "profile", "live"];
 
 /// One measured point of the throughput matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,25 +81,22 @@ pub struct OverheadEntry {
     pub overhead_pct: f64,
 }
 
-/// The matrix points, in pinned order.
-fn points() -> Vec<(&'static str, usize)> {
-    MATRIX_APPS
-        .iter()
-        .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
-        .collect()
-}
-
-/// The cell's machine config with one optional subsystem switched on.
-fn mode_config(np: usize, scale: Scale, mode: &str) -> MachineConfig {
-    let mut cfg = MachineConfig::origin2000_scaled(np, scale.cache_bytes());
+/// Switches on the optional subsystem `mode` prices. `"baseline"` and
+/// `"live"` leave the config all-off (the live wiring runs beside it).
+///
+/// # Panics
+///
+/// On a mode that is not `"baseline"` or one of [`OVERHEAD_MODES`].
+fn apply_mode(cfg: &mut MachineConfig, mode: &str) {
     match mode {
+        "baseline" | "live" => {}
         "attrib" => cfg.classify_misses = true,
         "trace" => cfg.trace = ccnuma_sim::trace::TraceConfig::on(),
         "sanitize" => cfg.sanitize.enabled = true,
+        "critpath" => cfg.critpath = true,
         "profile" => cfg.profile = true,
-        _ => {}
+        other => panic!("unknown overhead mode {other:?}"),
     }
-    cfg
 }
 
 /// Times the pinned matrix: per cell, one discarded warmup rep then
@@ -110,57 +106,59 @@ fn mode_config(np: usize, scale: Scale, mode: &str) -> MachineConfig {
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure in matrix
-/// order.
-pub fn measure_with_jobs(jobs: usize, reps: usize) -> Result<Vec<PerfEntry>, StudyError> {
-    let scale = Scale::Quick;
+/// order, and fails a cell whose engine-event count differs between reps
+/// (the engine is deterministic, so the count must not).
+pub fn measure(jobs: usize, reps: usize) -> Result<Vec<PerfEntry>, StudyError> {
     let reps = reps.max(1);
-    let pts = points();
-    let (results, _) = ccnuma_sweep::pool::run(&pts, jobs, |&(id, np)| {
-        let w = basic(id, scale);
-        let cfg = mode_config(np, scale, "baseline");
-        let mut times = Vec::with_capacity(reps);
-        let mut events = 0u64;
-        for rep in 0..=reps {
-            let t = Instant::now();
-            let (_, stats) = execute_workload(w.as_ref(), cfg.clone())?;
-            let dt = t.elapsed().as_nanos() as u64;
-            debug_assert!(
-                rep == 0 || events == stats.events,
-                "events are deterministic"
-            );
-            events = stats.events;
-            if rep > 0 {
-                times.push(dt); // warmup rep discarded
+    over_matrix(
+        jobs,
+        |_| {},
+        |w, cfg| {
+            let mut e = PerfEntry {
+                app: w.name(),
+                problem: w.problem(),
+                nprocs: cfg.nprocs,
+                events: 0,
+                ns_per_event: 0,
+            };
+            let mut times = Vec::with_capacity(reps);
+            for rep in 0..=reps {
+                let t = Instant::now();
+                let (_, stats) = execute_workload(w, cfg.clone())?;
+                let dt = t.elapsed().as_nanos() as u64;
+                if rep > 0 && stats.events != e.events {
+                    return Err(StudyError::Verify(format!(
+                        "{}: engine events differ between reps ({} then {})",
+                        e.key(),
+                        e.events,
+                        stats.events
+                    )));
+                }
+                e.events = stats.events;
+                if rep > 0 {
+                    times.push(dt); // warmup rep discarded
+                }
             }
-        }
-        times.sort_unstable();
-        let median = times[times.len() / 2];
-        Ok(PerfEntry {
-            app: w.name(),
-            problem: w.problem(),
-            nprocs: np,
-            events,
-            ns_per_event: median / events.max(1),
-        })
-    });
-    results.into_iter().collect()
+            times.sort_unstable();
+            e.ns_per_event = times[times.len() / 2] / e.events.max(1);
+            Ok(e)
+        },
+    )
 }
 
 /// One single-rep pass over the matrix in `mode`; returns the per-cell
 /// host nanoseconds in matrix order (per-cell times keep the numbers
 /// comparable at any job count, unlike the pass's wall clock).
 fn matrix_pass(jobs: usize, mode: &str) -> Result<Vec<u64>, StudyError> {
-    let scale = Scale::Quick;
-    let pts = points();
-    let (results, _) =
-        ccnuma_sweep::pool::run(&pts, jobs, |&(id, np)| -> Result<u64, StudyError> {
-            let w = basic(id, scale);
-            let cfg = mode_config(np, scale, mode);
+    over_matrix(
+        jobs,
+        |cfg| apply_mode(cfg, mode),
+        |w, cfg| {
             let t = Instant::now();
-            execute_workload(w.as_ref(), cfg)?;
+            execute_workload(w, cfg)?;
             Ok(t.elapsed().as_nanos() as u64)
-        });
-    results.into_iter().collect()
+        },
+    )
 }
 
 /// Measures the host-time cost of each optional subsystem by comparing
@@ -181,7 +179,7 @@ fn matrix_pass(jobs: usize, mode: &str) -> Result<Vec<u64>, StudyError> {
 /// Propagates the first simulation or verification failure.
 pub fn measure_overheads(jobs: usize, passes: usize) -> Result<Vec<OverheadEntry>, StudyError> {
     let passes = passes.max(1);
-    let n_cells = points().len();
+    let n_cells = MATRIX_APPS.len() * MATRIX_PROCS.len();
     let mut best = vec![vec![u64::MAX; n_cells]; OVERHEAD_MODES.len() + 1];
     let fold = |best: &mut Vec<u64>, pass: Vec<u64>| {
         for (b, t) in best.iter_mut().zip(pass) {
@@ -321,21 +319,7 @@ pub fn compare(
         ));
         return out;
     }
-    let mut pairs: Vec<(&PerfEntry, &PerfEntry)> = Vec::new();
-    for b in baseline {
-        match current.iter().find(|c| c.key() == b.key()) {
-            Some(c) => pairs.push((b, c)),
-            None => out.push(format!("{}: missing from current run", b.key())),
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench perf`)",
-                c.key()
-            ));
-        }
-    }
+    let pairs = pair(baseline, current, PerfEntry::key, "bench perf", &mut out);
     let speed = speed_factor(&pairs);
     for (b, c) in &pairs {
         if c.events != b.events {
@@ -361,6 +345,18 @@ pub fn compare(
         }
     }
     out
+}
+
+/// The throughput gate of one [`measure`] pass, `BENCH_engine.json`.
+pub fn gate(reps: usize, current: &[PerfEntry], tolerance: f64) -> Gate<'_> {
+    Gate {
+        file: "BENCH_engine.json",
+        current: to_json(reps, current),
+        compare: Box::new(move |doc| {
+            let (model, _, base) = parse(doc)?;
+            Ok(compare(&model, &base, current, tolerance))
+        }),
+    }
 }
 
 /// Renders the per-cell throughput table.
@@ -466,15 +462,32 @@ mod tests {
     }
 
     #[test]
+    fn every_overhead_mode_prices_its_own_config() {
+        let base = MachineConfig::origin2000_scaled(4, 1 << 16);
+        for &mode in OVERHEAD_MODES {
+            let mut cfg = base.clone();
+            apply_mode(&mut cfg, mode);
+            // Only the live wiring runs beside an unmodified config.
+            assert_eq!(cfg == base, mode == "live", "{mode}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown overhead mode")]
+    fn misspelled_overhead_mode_fails() {
+        apply_mode(&mut MachineConfig::origin2000_scaled(4, 1 << 16), "attribs");
+    }
+
+    #[test]
     fn measure_covers_matrix_with_deterministic_events() {
-        let a = measure_with_jobs(2, 1).unwrap();
+        let a = measure(2, 1).unwrap();
         assert_eq!(a.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &a {
             assert!(e.events > 0, "{}", e.key());
             assert!(e.ns_per_event > 0, "{}", e.key());
         }
         // The timed half varies run to run; the event counts must not.
-        let b = measure_with_jobs(1, 1).unwrap();
+        let b = measure(1, 1).unwrap();
         let ae: Vec<(String, u64)> = a.iter().map(|e| (e.key(), e.events)).collect();
         let be: Vec<(String, u64)> = b.iter().map(|e| (e.key(), e.events)).collect();
         assert_eq!(ae, be, "events are jobs- and rep-invariant");

@@ -1,16 +1,32 @@
-//! The attribution regression harness behind `bench regress`: runs a pinned
-//! workload matrix with miss classification on, snapshots the attribution
-//! metrics to `BENCH_attrib.json`, and gates changes against the committed
-//! baseline with a relative tolerance.
+//! The gate harness behind `bench regress` and `bench perf`, and the
+//! attribution half of the accuracy gate.
+//!
+//! `bench regress` runs the pinned workload matrix once, with miss
+//! classification and the critical-path profiler both on, and snapshots
+//! two documents from that one pass: the attribution metrics to
+//! `BENCH_attrib.json` ([`RegressEntry`]) and the on-path composition and
+//! what-if projections to `BENCH_critpath.json` ([`CritEntry`]). Both
+//! observers are pinned passive, so one pass yields the same bytes as two
+//! separate ones would.
+//!
+//! The pieces every gate shares live here too: `over_matrix`, the one pool
+//! loop over the pinned matrix; `drift` and `pair`, the comparators; and
+//! [`write_or_check`], which writes the baselines or gates against them.
 //!
 //! The simulator is bit-deterministic, so the baseline is expected to match
 //! exactly on an unchanged tree; the tolerance (default 2%) leaves room for
 //! deliberate model tuning without churning the baseline on every commit.
 
+use std::path::Path;
+
+use ccnuma_sim::config::MachineConfig;
 use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::time::Ns;
 use scaling_study::experiments::{basic, Scale};
-use scaling_study::runner::{Runner, StudyError};
+use scaling_study::runner::{execute_workload, StudyError};
+use splash_apps::common::Workload;
+
+use crate::critpath::{self, CritEntry};
 
 /// The pinned workload matrix: quick-scale basic problems on small
 /// machines, chosen to exercise every miss cause (capacity/conflict from
@@ -53,71 +69,70 @@ impl RegressEntry {
     }
 }
 
-/// Runs the pinned matrix and returns one entry per (app, procs) point.
+/// Runs `cell` on every point of the pinned matrix, fanned out over the
+/// sweep engine's work-stealing pool on `jobs` host threads (`jobs = 1`
+/// is the serial case), and returns the results in matrix order. Each
+/// point gets its quick-scale Origin config with `tweak` applied.
 ///
 /// # Errors
 ///
-/// Propagates any simulation or verification failure.
-pub fn measure() -> Result<Vec<RegressEntry>, StudyError> {
-    let scale = Scale::Quick;
-    let mut runner = Runner::new(scale.cache_bytes());
-    runner.set_attrib(true);
-    let mut out = Vec::new();
-    for &id in MATRIX_APPS {
-        let w = basic(id, scale);
-        for &np in MATRIX_PROCS {
-            let rec = runner.run(w.as_ref(), np)?;
-            let causes = rec.stats.cause_counts();
-            out.push(RegressEntry {
-                app: rec.app,
-                problem: rec.problem,
-                nprocs: rec.nprocs,
-                wall_ns: rec.wall_ns,
-                mem_stall_ns: rec.stats.total(|p| p.mem_ns),
-                queue_ns: rec.stats.mem_breakdown().queue_total(),
-                misses: rec.stats.total(|p| p.misses()),
-                causes,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// [`measure`] fanned out over the sweep engine's work-stealing pool:
-/// the same pinned matrix, the same entries in the same order, but each
-/// point simulated on its own host thread. The entries skip the
-/// sequential baselines [`Runner`] would compute (no field of
-/// [`RegressEntry`] needs one), so this is strictly less work per point
-/// as well as parallel across points — and still bit-identical to
-/// [`measure`], which `measure_is_jobs_invariant` pins.
-///
-/// # Errors
-///
-/// Propagates the first simulation or verification failure in matrix
-/// order.
-pub fn measure_with_jobs(jobs: usize) -> Result<Vec<RegressEntry>, StudyError> {
+/// Propagates the first failure in matrix order.
+pub(crate) fn over_matrix<T: Send>(
+    jobs: usize,
+    tweak: impl Fn(&mut MachineConfig) + Sync,
+    cell: impl Fn(&dyn Workload, MachineConfig) -> Result<T, StudyError> + Sync,
+) -> Result<Vec<T>, StudyError> {
     let scale = Scale::Quick;
     let points: Vec<(&str, usize)> = MATRIX_APPS
         .iter()
         .flat_map(|&id| MATRIX_PROCS.iter().map(move |&np| (id, np)))
         .collect();
     let (results, _) = ccnuma_sweep::pool::run(&points, jobs, |&(id, np)| {
-        let w = basic(id, scale);
-        let mut cfg = ccnuma_sim::config::MachineConfig::origin2000_scaled(np, scale.cache_bytes());
-        cfg.classify_misses = true;
-        let (wall_ns, stats) = scaling_study::runner::execute_workload(w.as_ref(), cfg)?;
-        Ok(RegressEntry {
-            app: w.name(),
-            problem: w.problem(),
-            nprocs: np,
-            wall_ns,
-            mem_stall_ns: stats.total(|p| p.mem_ns),
-            queue_ns: stats.mem_breakdown().queue_total(),
-            misses: stats.total(|p| p.misses()),
-            causes: stats.cause_counts(),
-        })
+        let mut cfg = MachineConfig::origin2000_scaled(np, scale.cache_bytes());
+        tweak(&mut cfg);
+        cell(basic(id, scale).as_ref(), cfg)
     });
     results.into_iter().collect()
+}
+
+/// Runs the pinned matrix once with miss classification and the
+/// critical-path profiler on and returns both accuracy snapshots, one
+/// entry of each per (app, procs) point in matrix order. Bit-identical at
+/// any `jobs` count.
+///
+/// # Errors
+///
+/// Propagates the first simulation or verification failure in matrix
+/// order.
+pub fn measure(jobs: usize) -> Result<(Vec<RegressEntry>, Vec<CritEntry>), StudyError> {
+    let cells = over_matrix(
+        jobs,
+        |cfg| {
+            cfg.classify_misses = true;
+            cfg.critpath = true;
+        },
+        |w, cfg| {
+            let nprocs = cfg.nprocs;
+            let (wall_ns, stats) = execute_workload(w, cfg)?;
+            let rep = stats
+                .critpath
+                .as_ref()
+                .expect("critpath enabled on every matrix run");
+            let crit = CritEntry::from_report(w, nprocs, rep);
+            let attrib = RegressEntry {
+                app: w.name(),
+                problem: w.problem(),
+                nprocs,
+                wall_ns,
+                mem_stall_ns: stats.total(|p| p.mem_ns),
+                queue_ns: stats.mem_breakdown().queue_total(),
+                misses: stats.total(|p| p.misses()),
+                causes: stats.cause_counts(),
+            };
+            Ok((attrib, crit))
+        },
+    )?;
+    Ok(cells.into_iter().unzip())
 }
 
 /// Serializes entries as the `BENCH_attrib.json` document.
@@ -169,51 +184,163 @@ pub fn parse(doc: &str) -> Result<Vec<RegressEntry>, String> {
         .collect()
 }
 
+/// Appends a message to `out` when `cur` drifted from `base` by more than
+/// the relative `tolerance` (relative to `base`, or to 1 when it is 0).
+pub(crate) fn drift(
+    out: &mut Vec<String>,
+    key: &str,
+    name: &str,
+    base: u64,
+    cur: u64,
+    tolerance: f64,
+) {
+    let rel = (cur as f64 - base as f64) / base.max(1) as f64;
+    if rel.abs() > tolerance {
+        out.push(format!(
+            "{key}: {name} drifted {:+.2}% (baseline {base}, current {cur})",
+            100.0 * rel
+        ));
+    }
+}
+
+/// Pairs each baseline entry with the current entry of the same `key`,
+/// appending one message to `out` per point missing from the current run
+/// and per point not in the baseline (`cmd` regenerates the baseline).
+pub(crate) fn pair<'a, T>(
+    baseline: &'a [T],
+    current: &'a [T],
+    key: fn(&T) -> String,
+    cmd: &str,
+    out: &mut Vec<String>,
+) -> Vec<(&'a T, &'a T)> {
+    let mut pairs = Vec::new();
+    for b in baseline {
+        match current.iter().find(|c| key(c) == key(b)) {
+            Some(c) => pairs.push((b, c)),
+            None => out.push(format!("{}: missing from current run", key(b))),
+        }
+    }
+    for c in current {
+        if !baseline.iter().any(|b| key(b) == key(c)) {
+            out.push(format!(
+                "{}: not in baseline (regenerate with `{cmd}`)",
+                key(c)
+            ));
+        }
+    }
+    pairs
+}
+
 /// Compares `current` against `baseline` with relative `tolerance` and
 /// returns one message per drifted metric, missing point, or new point.
 /// An empty result means the gate passes.
 pub fn compare(baseline: &[RegressEntry], current: &[RegressEntry], tolerance: f64) -> Vec<String> {
-    let drifts = |key: &str, name: &str, base: u64, cur: u64, out: &mut Vec<String>| {
-        let denom = base.max(1) as f64;
-        let rel = (cur as f64 - base as f64) / denom;
-        if rel.abs() > tolerance {
-            out.push(format!(
-                "{key}: {name} drifted {:+.2}% (baseline {base}, current {cur})",
-                100.0 * rel
-            ));
-        }
-    };
     let mut out = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
-            out.push(format!("{}: missing from current run", b.key()));
-            continue;
-        };
+    let pairs = pair(
+        baseline,
+        current,
+        RegressEntry::key,
+        "bench regress",
+        &mut out,
+    );
+    for (b, c) in pairs {
         let key = b.key();
-        drifts(&key, "wall_ns", b.wall_ns, c.wall_ns, &mut out);
-        drifts(
-            &key,
-            "mem_stall_ns",
-            b.mem_stall_ns,
-            c.mem_stall_ns,
-            &mut out,
-        );
-        drifts(&key, "queue_ns", b.queue_ns, c.queue_ns, &mut out);
-        drifts(&key, "misses", b.misses, c.misses, &mut out);
+        let mut d = |name: &str, base, cur| drift(&mut out, &key, name, base, cur, tolerance);
+        d("wall_ns", b.wall_ns, c.wall_ns);
+        d("mem_stall_ns", b.mem_stall_ns, c.mem_stall_ns);
+        d("queue_ns", b.queue_ns, c.queue_ns);
+        d("misses", b.misses, c.misses);
         for (i, (bc, cc)) in b.causes.iter().zip(&c.causes).enumerate() {
             let name = format!("causes[{}]", ccnuma_sim::attrib::cause_slot_name(i));
-            drifts(&key, &name, *bc, *cc, &mut out);
-        }
-    }
-    for c in current {
-        if !baseline.iter().any(|b| b.key() == c.key()) {
-            out.push(format!(
-                "{}: not in baseline (regenerate with `bench regress`)",
-                c.key()
-            ));
+            d(&name, *bc, *cc);
         }
     }
     out
+}
+
+/// One committed baseline document and the fresh measurement gated
+/// against it.
+pub struct Gate<'a> {
+    /// The baseline's file name, e.g. `BENCH_attrib.json`.
+    pub file: &'static str,
+    /// The fresh measurement, serialized as a baseline document.
+    pub current: String,
+    /// Parses a baseline document and compares the fresh measurement
+    /// against it.
+    pub compare: Compare<'a>,
+}
+
+/// A gate's comparison: baseline document in, one message per violation
+/// out, or why the document is malformed.
+pub type Compare<'a> = Box<dyn Fn(&str) -> Result<Vec<String>, String> + 'a>;
+
+/// The two accuracy gates of one [`measure`] pass, `BENCH_attrib.json`
+/// and `BENCH_critpath.json`.
+pub fn gates<'a>(
+    attrib: &'a [RegressEntry],
+    crit: &'a [CritEntry],
+    tolerance: f64,
+) -> [Gate<'a>; 2] {
+    [
+        Gate {
+            file: "BENCH_attrib.json",
+            current: to_json(attrib),
+            compare: Box::new(move |doc| Ok(compare(&parse(doc)?, attrib, tolerance))),
+        },
+        Gate {
+            file: "BENCH_critpath.json",
+            current: critpath::to_json(crit),
+            compare: Box::new(move |doc| {
+                Ok(critpath::compare(&critpath::parse(doc)?, crit, tolerance))
+            }),
+        },
+    ]
+}
+
+/// Without `check`, writes each gate's fresh document to its baseline in
+/// `dir`. With `check`, reads each baseline and compares instead; a gate
+/// that fails leaves its fresh document beside the baseline as
+/// `BENCH_<x>.current.json`. Returns every violation message: empty means
+/// the gates pass (or the baselines were written).
+///
+/// # Errors
+///
+/// A baseline that cannot be read, parsed or written. `cmd` is the
+/// command that regenerates the baselines.
+pub fn write_or_check(
+    dir: &Path,
+    cmd: &str,
+    check: bool,
+    gates: &[Gate],
+) -> Result<Vec<String>, String> {
+    let mut all = Vec::new();
+    for g in gates {
+        let path = dir.join(g.file);
+        let shown = path.display();
+        if !check {
+            std::fs::write(&path, &g.current).map_err(|e| format!("cannot write {shown}: {e}"))?;
+            eprintln!("[bench] wrote baseline {shown}");
+            continue;
+        }
+        let doc = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read baseline {shown}: {e} (generate it with `{cmd}`)"))?;
+        let msgs = (g.compare)(&doc).map_err(|e| format!("malformed baseline {shown}: {e}"))?;
+        if msgs.is_empty() {
+            eprintln!("[bench] OK: no drift vs {shown}");
+            continue;
+        }
+        let fresh = path.with_extension("current.json");
+        match std::fs::write(&fresh, &g.current) {
+            Ok(()) => eprintln!("[bench] fresh measurement written to {}", fresh.display()),
+            Err(e) => eprintln!("warning: cannot write {}: {e}", fresh.display()),
+        }
+        eprintln!("[bench] FAIL: {} violation(s) vs {shown}:", msgs.len());
+        for m in &msgs {
+            eprintln!("  {m}");
+        }
+        all.extend(msgs);
+    }
+    Ok(all)
 }
 
 #[cfg(test)]
@@ -269,24 +396,76 @@ mod tests {
 
     #[test]
     fn measure_covers_matrix_and_reconciles() {
-        let entries = measure().unwrap();
+        let (entries, _) = measure(1).unwrap();
         assert_eq!(entries.len(), MATRIX_APPS.len() * MATRIX_PROCS.len());
         for e in &entries {
             assert_eq!(e.causes.iter().sum::<u64>(), e.misses, "{}", e.key());
             assert!(e.queue_ns <= e.mem_stall_ns, "{}", e.key());
         }
         // Determinism: measuring again reproduces the snapshot bit-exactly.
-        let again = measure().unwrap();
+        let (again, _) = measure(1).unwrap();
         assert_eq!(entries, again);
     }
 
     #[test]
     fn measure_is_jobs_invariant() {
-        // The parallel path must reproduce the serial snapshot bit for
-        // bit, in the same pinned order — otherwise routing `bench
-        // regress` through the pool would churn BENCH_attrib.json.
-        let serial = measure().unwrap();
-        let parallel = measure_with_jobs(4).unwrap();
+        // The pool must reproduce the one-job snapshot bit for bit, in
+        // the same pinned order — otherwise `--jobs` would churn
+        // BENCH_attrib.json.
+        let (serial, _) = measure(1).unwrap();
+        let (parallel, _) = measure(4).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn write_or_check_writes_passes_and_flags_both_documents() {
+        let dir = std::env::temp_dir().join(format!("bench-gate-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir); // a stale run's baselines
+        std::fs::create_dir_all(&dir).unwrap();
+        let attrib = vec![entry("fft", 4, 1_000)];
+        let crit = vec![CritEntry {
+            app: "fft".into(),
+            problem: "p".into(),
+            nprocs: 4,
+            wall_ns: 1_000,
+            path: [500, 0, 125, 125, 0, 250, 0],
+            whatif: [1_000, 750, 1_000, 1_000, 875, 500],
+        }];
+        let run = |check, a: &[RegressEntry], c: &[CritEntry]| {
+            write_or_check(&dir, "bench regress", check, &gates(a, c, 0.02))
+        };
+
+        let err = run(true, &attrib, &crit).unwrap_err();
+        assert!(
+            err.contains("BENCH_attrib.json") && err.contains("`bench regress`"),
+            "{err}"
+        );
+
+        assert_eq!(run(false, &attrib, &crit), Ok(vec![]));
+        assert_eq!(run(true, &attrib, &crit), Ok(vec![]));
+        assert!(!dir.join("BENCH_attrib.current.json").exists());
+
+        let (mut a2, mut c2) = (attrib.clone(), crit.clone());
+        a2[0].misses = 80;
+        c2[0].path[5] = 300;
+        let msgs = run(true, &a2, &c2).unwrap();
+        assert!(
+            msgs.iter().any(|m| m.contains("fft/p/4p: misses drifted")),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("fft/p/4p: path[barrier_wait] drifted")),
+            "{msgs:?}"
+        );
+        let read = |f: &str| std::fs::read_to_string(dir.join(f)).unwrap();
+        assert_eq!(read("BENCH_attrib.current.json"), to_json(&a2));
+        assert_eq!(read("BENCH_critpath.current.json"), critpath::to_json(&c2));
+        assert_eq!(
+            read("BENCH_attrib.json"),
+            to_json(&attrib),
+            "check never writes"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

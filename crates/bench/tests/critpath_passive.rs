@@ -1,8 +1,9 @@
 //! The critical-path profiler, end to end at the bench level: the
 //! observer-passivity pin (`cfg.critpath` on or off, a run is
-//! bit-identical), and the harness invariants `bench critpath` gates on
-//! — the path partitioning the wall and the what-if projections
-//! bracketing it — over a real matrix cell.
+//! bit-identical — which is what lets `bench regress` take both accuracy
+//! baselines from one pass with the collector on), and the invariants its
+//! `BENCH_critpath.json` gate relies on — the path partitioning the wall
+//! and the what-if projections bracketing it — over a real matrix cell.
 
 use ccnuma_sweep::matrix::MatrixSpec;
 use scaling_study::runner::execute_workload;

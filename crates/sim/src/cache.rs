@@ -57,6 +57,8 @@ pub struct Cache {
     n_sets: usize,
     assoc: usize,
     ways: Vec<Option<Way>>,
+    /// Number of `Some` ways, kept in step by `insert` and `invalidate`.
+    valid: usize,
     clock: u64,
 }
 
@@ -75,6 +77,7 @@ impl Cache {
             n_sets,
             assoc: cfg.assoc,
             ways: vec![None; n_sets * cfg.assoc],
+            valid: 0,
             clock: 0,
         }
     }
@@ -153,6 +156,7 @@ impl Cache {
                 ready_at,
                 stamp: clock,
             });
+            self.valid += 1;
             return None;
         }
         // Evict LRU.
@@ -197,6 +201,7 @@ impl Cache {
                 if w.line == line {
                     let was_dirty = w.state == LineState::Modified;
                     *slot = None;
+                    self.valid -= 1;
                     return was_dirty;
                 }
             }
@@ -204,9 +209,9 @@ impl Cache {
         false
     }
 
-    /// Number of valid lines currently cached.
+    /// Number of valid lines currently cached (O(1): a maintained count).
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().flatten().count()
+        self.valid
     }
 
     /// Total line capacity (sets × associativity). An eviction while
@@ -320,6 +325,44 @@ mod tests {
         c.insert(3, LineState::Shared, 0);
         c.set_modified(3);
         assert_eq!(c.state_of(3), Some(LineState::Modified));
+    }
+
+    #[test]
+    fn occupancy_count_tracks_resident_lines() {
+        // 4 sets × 2 ways over 16 lines: fills, evictions, invalidations,
+        // downgrades and in-place re-inserts (the prefetch re-stamp) in a
+        // seeded xorshift order.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 512,
+            assoc: 2,
+            line_bytes: 64,
+        });
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = (x >> 8) % 16;
+            match x % 5 {
+                0 => {
+                    c.insert(line, LineState::Exclusive, step);
+                }
+                1 => {
+                    c.lookup(line, step);
+                }
+                2 => {
+                    c.invalidate(line);
+                }
+                3 => c.downgrade(line),
+                _ => {
+                    if let Some(s) = c.state_of(line) {
+                        assert!(c.insert(line, s, step + 100).is_none());
+                    }
+                }
+            }
+            assert_eq!(c.occupancy(), c.resident_lines().len(), "step {step}");
+            assert!(c.occupancy() <= c.capacity_lines());
+        }
     }
 
     #[test]

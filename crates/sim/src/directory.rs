@@ -58,10 +58,18 @@ impl DirEntry {
         self.sharers = 0;
     }
 
-    /// Sharers other than `p`, as processor indices.
-    pub fn other_sharers(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
-        let mask = self.sharers & !(1u128 << p);
-        (0..128).filter(move |i| mask & (1u128 << i) != 0)
+    /// Sharers other than `p`, as processor indices in ascending order.
+    /// Walks the set bits of a copy of the mask, so the iterator does not
+    /// borrow the entry.
+    pub fn other_sharers(&self, p: usize) -> impl Iterator<Item = usize> {
+        let mut mask = self.sharers & !(1u128 << p);
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                i
+            })
+        })
     }
 
     /// Number of sharers other than `p`.
@@ -101,6 +109,16 @@ mod tests {
         e.add_sharer(0);
         e.remove_sharer(0);
         assert!(e.is_empty());
+    }
+
+    #[test]
+    fn other_sharers_ascend_across_the_whole_mask() {
+        let mut e = DirEntry::default();
+        for p in [127, 64, 5, 0, 63] {
+            e.add_sharer(p);
+        }
+        assert_eq!(e.other_sharers(5).collect::<Vec<_>>(), vec![0, 63, 64, 127]);
+        assert_eq!(e.other_sharers(5).count() as u32, e.n_other_sharers(5));
     }
 
     #[test]

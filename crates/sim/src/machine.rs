@@ -267,6 +267,7 @@ impl Machine {
             .resolve(cfg.nprocs, cfg.procs_per_node)
             .map_err(crate::error::ConfigError::BadMapping)?;
         let mut mem = MemorySystem::new(&cfg, &perm);
+        mem.presize(self.next_addr);
         self.apply_placements(&mut mem);
 
         let sync = SyncTables {

@@ -121,7 +121,9 @@ pub struct MemorySystem {
     topo: Topology,
     pages: PageTable,
     caches: Vec<Cache>,
-    dir: HashMap<u64, DirEntry>,
+    /// Directory, dense by line number; an empty entry means no cache
+    /// holds the line.
+    dir: Vec<DirEntry>,
     /// Contended resources (public so the engine can also charge
     /// synchronization traffic through them).
     pub contention: Contention,
@@ -168,7 +170,7 @@ impl MemorySystem {
                 cfg.migration,
             ),
             caches: (0..cfg.nprocs).map(|_| Cache::new(cfg.cache)).collect(),
-            dir: HashMap::new(),
+            dir: Vec::new(),
             contention,
             proc_node,
             classify: cfg
@@ -193,6 +195,17 @@ impl MemorySystem {
     #[inline]
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
+    }
+
+    /// Presizes the directory and page table for every address below
+    /// `extent` (the machine's allocation extent). Both tables still grow
+    /// on demand past it.
+    pub fn presize(&mut self, extent: Addr) {
+        let lines = extent.div_ceil(self.line_bytes()) as usize;
+        if lines > self.dir.len() {
+            self.dir.resize(lines, DirEntry::default());
+        }
+        self.pages.presize(extent);
     }
 
     /// Explicitly places an address range on a node (manual distribution).
@@ -352,13 +365,12 @@ impl MemorySystem {
         if let Some(cs) = self.classify.as_mut() {
             *cs[p].footprints.entry(line).or_insert(0) |= mask;
         }
-        let entry = self
-            .dir
-            .get_mut(&line)
-            .expect("upgrade on a Shared line requires a directory entry");
-        let others: Vec<usize> = entry.other_sharers(p).collect();
+        // A Shared copy is resident, so its entry is within the table.
+        let entry = &mut self.dir[line as usize];
+        debug_assert!(!entry.is_empty(), "upgrade on a line with no sharers");
+        let others = entry.other_sharers(p);
+        let invals = entry.n_other_sharers(p);
         entry.set_owner(p);
-        let invals = others.len() as u32;
         let mut t = now + extra + base;
         for q in others {
             let qn = self.proc_node[q];
@@ -473,7 +485,7 @@ impl MemorySystem {
         bd.queue[MEM] += w;
 
         // Directory transaction.
-        let entry = self.dir.entry(line).or_default();
+        let entry = dir_entry(&mut self.dir, line);
         let state = entry.state();
         let (mut base, class, invals, owner) = match (kind, state) {
             (AccessKind::Read, DirState::Uncached) | (AccessKind::Write, DirState::Uncached) => {
@@ -548,14 +560,14 @@ impl MemorySystem {
             (AccessKind::Read, DirState::Shared) => entry.add_sharer(p),
             (AccessKind::Write, DirState::Uncached) => entry.set_owner(p),
             (AccessKind::Write, DirState::Shared) => {
-                let others: Vec<usize> = entry.other_sharers(p).collect();
+                let others = entry.other_sharers(p);
                 entry.set_owner(p);
                 let mut t = now + extra + base;
-                for q in &others {
-                    let qn = self.proc_node[*q];
-                    self.caches[*q].invalidate(line);
+                for q in others {
+                    let qn = self.proc_node[q];
+                    self.caches[q].invalidate(line);
                     if let Some(cs) = self.classify.as_mut() {
-                        cs[*q].invalidated.insert(line, (mask, p as u8));
+                        cs[q].invalidated.insert(line, (mask, p as u8));
                     }
                     self.contention.hubs[qn].occupy(t, self.lat.inval_ns);
                     t += self.lat.inval_ns;
@@ -637,17 +649,19 @@ impl MemorySystem {
     fn install(&mut self, p: usize, line: u64, state: LineState, req_node: usize, t: Ns) -> bool {
         let evicted = self.caches[p].insert(line, state, 0);
         let Some(ev) = evicted else { return false };
-        // The replacement leaves occupancy unchanged, so fullness here is
-        // fullness at eviction time: a full cache makes the re-miss a
-        // capacity miss, a full set with room elsewhere a conflict miss.
-        let full = self.caches[p].occupancy() == self.caches[p].capacity_lines();
         if let Some(cs) = self.classify.as_mut() {
+            // The replacement leaves occupancy unchanged, so fullness here
+            // is fullness at eviction time: a full cache makes the re-miss
+            // a capacity miss, a full set with room elsewhere a conflict.
+            let full = self.caches[p].occupancy() == self.caches[p].capacity_lines();
             let st = &mut cs[p];
             st.footprints.remove(&ev.line);
             st.evicted_conflict.insert(ev.line, !full);
         }
         let victim_addr = ev.line << self.line_shift;
         let victim_home = self.pages.home_of(victim_addr, req_node);
+        // The victim was resident, so its entry is within the table.
+        let entry = &mut self.dir[ev.line as usize];
         match ev.state {
             LineState::Modified => {
                 // Buffered writeback: the processor does not stall, but the
@@ -655,30 +669,15 @@ impl MemorySystem {
                 self.contention.hubs[req_node].occupy(t, self.lat.hub_occ_ns);
                 self.contention.hubs[victim_home].occupy(t, self.lat.hub_occ_ns);
                 self.contention.mems[victim_home].occupy(t, self.lat.mem_occ_ns);
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.clear_owner();
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                entry.clear_owner();
                 true
             }
             LineState::Exclusive => {
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.clear_owner();
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                entry.clear_owner();
                 false
             }
             LineState::Shared => {
-                if let Some(e) = self.dir.get_mut(&ev.line) {
-                    e.remove_sharer(p);
-                    if e.is_empty() {
-                        self.dir.remove(&ev.line);
-                    }
-                }
+                entry.remove_sharer(p);
                 false
             }
         }
@@ -740,14 +739,17 @@ impl MemorySystem {
     ///    copy anywhere, and every cached copy is recorded as a sharer;
     /// 3. every resident cache line has a matching directory entry.
     ///
-    /// Intended for tests and debugging (it walks every cache).
+    /// Intended for tests and debugging (it walks every cache). Only
+    /// non-empty directory entries are checked against the caches; an
+    /// empty entry is an absent one, which invariant 3 covers.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate_coherence(&self) -> Result<(), String> {
         use crate::directory::DirState;
-        for (&line, entry) in &self.dir {
+        let live = (0u64..).zip(&self.dir).filter(|(_, e)| !e.is_empty());
+        for (line, entry) in live {
             match entry.state() {
                 DirState::Exclusive(q) => {
                     for (p, c) in self.caches.iter().enumerate() {
@@ -785,20 +787,12 @@ impl MemorySystem {
                         }
                     }
                 }
-                DirState::Uncached => {
-                    for (p, c) in self.caches.iter().enumerate() {
-                        if let Some(s) = c.state_of(line) {
-                            return Err(format!(
-                                "line {line:#x}: dir Uncached but proc {p} holds {s:?}"
-                            ));
-                        }
-                    }
-                }
+                DirState::Uncached => unreachable!("empty entries are skipped"),
             }
         }
         for (p, c) in self.caches.iter().enumerate() {
             for (line, state) in c.resident_lines() {
-                if !self.dir.contains_key(&line) {
+                if self.dir.get(line as usize).is_none_or(DirEntry::is_empty) {
                     return Err(format!(
                         "line {line:#x}: proc {p} holds {state:?} with no directory entry"
                     ));
@@ -807,6 +801,17 @@ impl MemorySystem {
         }
         Ok(())
     }
+}
+
+/// The directory entry of `line`, growing the table if `line` lies past
+/// its end.
+#[inline]
+fn dir_entry(dir: &mut Vec<DirEntry>, line: u64) -> &mut DirEntry {
+    let i = line as usize;
+    if i >= dir.len() {
+        dir.resize(i + 1, DirEntry::default());
+    }
+    &mut dir[i]
 }
 
 #[cfg(test)]
@@ -1069,6 +1074,74 @@ mod tests {
             backlog - flight
         );
         assert_eq!(c.latency - q.latency, backlog - flight);
+    }
+
+    #[test]
+    fn dense_tables_stay_coherent_under_random_streams() {
+        // Seeded xorshift streams of reads, writes, prefetches and LL/SC
+        // over a presized 64 KB extent plus a few lines 1 MB past it (the
+        // grow-on-demand path), with explicit placement and migration on.
+        let extent: Addr = 64 << 10;
+        let far = extent + (1 << 20);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) % n
+        };
+        let mut migrations = 0;
+        for nprocs in [4, 16, 128] {
+            let mut cfg = MachineConfig::origin2000_scaled(nprocs, 16 << 10);
+            cfg.cache.size_bytes = 1024; // 4 sets × 2 ways: constant eviction
+            cfg.cache.assoc = 2;
+            cfg.migration = Some(crate::config::MigrationConfig {
+                threshold: 2,
+                cooldown: 0,
+            });
+            cfg.classify_misses = nprocs == 16;
+            let perm: Vec<usize> = (0..nprocs).collect();
+            let mut m = MemorySystem::new(&cfg, &perm);
+            m.presize(extent);
+            assert_eq!(m.dir.len(), 512);
+            for _ in 0..8 {
+                let node = rng(cfg.n_nodes() as u64) as usize;
+                m.place_range(rng(96) * 5 * 128, 1024, node);
+            }
+            let mut now = 0;
+            for step in 0..1_500u64 {
+                now += 300;
+                let p = if step % 7 == 0 {
+                    nprocs - 1
+                } else {
+                    rng(nprocs as u64) as usize
+                };
+                let addr = if rng(50) == 0 {
+                    far + rng(4) * 128
+                } else {
+                    rng(96) * 5 * 128 + rng(128)
+                };
+                match rng(5) {
+                    0 | 1 => {
+                        m.access(p, addr, AccessKind::Read, now);
+                    }
+                    2 => {
+                        m.access(p, addr, AccessKind::Write, now);
+                    }
+                    3 => {
+                        m.prefetch(p, addr, now);
+                    }
+                    _ => {
+                        m.llsc_rmw(p, addr, now);
+                    }
+                }
+                m.validate_coherence()
+                    .unwrap_or_else(|e| panic!("{nprocs}p step {step}: {e}"));
+            }
+            assert!(m.dir.len() > (far / 128) as usize, "directory grew");
+            migrations += m.page_migrations();
+        }
+        assert!(migrations > 0, "the streams exercise migration");
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! too big for one node's memory makes the *sequential* run pay remote
 //! latency).
 
-use std::collections::HashMap;
-
 use crate::config::{MigrationConfig, PagePlacement};
 
 /// A simulated byte address.
@@ -34,14 +32,15 @@ struct PageInfo {
     since_migrate: u32,
 }
 
-/// The machine's page table: page → home node.
+/// The machine's page table: page → home node, a dense table indexed by
+/// page number (`None` = not yet placed).
 #[derive(Debug)]
 pub struct PageTable {
     page_shift: u32,
     n_nodes: usize,
     placement: PagePlacement,
     migration: Option<MigrationConfig>,
-    pages: HashMap<u64, PageInfo>,
+    pages: Vec<Option<PageInfo>>,
     /// Pages resident per node (for capacity spill).
     used: Vec<u64>,
     capacity_pages: u64,
@@ -69,7 +68,7 @@ impl PageTable {
             n_nodes,
             placement,
             migration,
-            pages: HashMap::new(),
+            pages: Vec::new(),
             used: vec![0; n_nodes],
             capacity_pages: (mem_per_node_bytes / page_bytes) as u64,
             rr_next: 0,
@@ -81,6 +80,23 @@ impl PageTable {
     #[inline]
     pub fn page_of(&self, addr: Addr) -> u64 {
         addr >> self.page_shift
+    }
+
+    /// Presizes the table for every page below the address `extent`.
+    pub fn presize(&mut self, extent: Addr) {
+        let n = extent.div_ceil(1 << self.page_shift) as usize;
+        if n > self.pages.len() {
+            self.pages.resize_with(n, || None);
+        }
+    }
+
+    /// The slot of `page`, growing the table if `page` lies past its end.
+    fn slot(&mut self, page: u64) -> &mut Option<PageInfo> {
+        let i = page as usize;
+        if i >= self.pages.len() {
+            self.pages.resize_with(i + 1, || None);
+        }
+        &mut self.pages[i]
     }
 
     /// Total pages migrated so far.
@@ -109,14 +125,11 @@ impl PageTable {
         let counters = self
             .migration
             .map(|_| vec![0u32; self.n_nodes].into_boxed_slice());
-        self.pages.insert(
-            page,
-            PageInfo {
-                home,
-                counters,
-                since_migrate: 0,
-            },
-        );
+        *self.slot(page) = Some(PageInfo {
+            home,
+            counters,
+            since_migrate: 0,
+        });
         home
     }
 
@@ -134,7 +147,7 @@ impl PageTable {
         let first = self.page_of(base);
         let last = self.page_of(base + len - 1);
         for page in first..=last {
-            if let Some(info) = self.pages.remove(&page) {
+            if let Some(info) = self.slot(page).take() {
                 self.used[info.home] -= 1;
             }
             self.install(page, node);
@@ -146,7 +159,7 @@ impl PageTable {
     /// node of the requesting processor.
     pub fn home_of(&mut self, addr: Addr, toucher_node: usize) -> usize {
         let page = self.page_of(addr);
-        if let Some(info) = self.pages.get(&page) {
+        if let Some(Some(info)) = self.pages.get(page as usize) {
             return info.home;
         }
         let preferred = match self.placement {
@@ -168,7 +181,7 @@ impl PageTable {
             return MigrationEvent::None;
         };
         let page = self.page_of(addr);
-        let Some(info) = self.pages.get_mut(&page) else {
+        let Some(Some(info)) = self.pages.get_mut(page as usize) else {
             return MigrationEvent::None;
         };
         let Some(counters) = info.counters.as_mut() else {
@@ -284,6 +297,20 @@ mod tests {
             t2.note_miss(0, 0);
             assert_eq!(t2.note_miss(0, 1), MigrationEvent::None);
         }
+    }
+
+    #[test]
+    fn presized_table_grows_past_its_extent() {
+        let mut t = table(4, PagePlacement::FirstTouch);
+        t.presize(4 * 1024);
+        assert_eq!(t.pages.len(), 4);
+        assert_eq!(t.home_of(1024, 1), 1);
+        // Far past the presized extent: the table grows on demand.
+        let far = 1 << 24;
+        t.place_range(far, 2048, 3);
+        assert_eq!(t.home_of(far + 1500, 0), 3);
+        assert_eq!(t.home_of(far - 1, 2), 2);
+        assert_eq!(t.pages_per_node(), &[0, 1, 1, 2]);
     }
 
     #[test]

@@ -807,21 +807,21 @@ pub fn profile(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyErr
 pub fn phases(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyError> {
     use scaling_study::report::{gauge_table, phase_breakdown_table};
     let np = scale.max_procs().min(32);
-    if !runner.trace_enabled() {
-        runner.set_trace(Some(ccnuma_sim::trace::TraceConfig::on()));
-    }
     let mut out = Vec::new();
+    let mut gauges = Vec::new();
     for w in [basic("barnes", scale), basic("ocean", scale)] {
-        let rec = runner.run(w.as_ref(), np)?;
+        let mut cfg = runner.machine_for(np);
+        cfg.trace = ccnuma_sim::trace::TraceConfig::on();
+        let rec = runner.run_on(w.as_ref(), cfg)?;
         let mut t = phase_breakdown_table(&rec.stats);
         t.title = format!("{} ({}, {np} procs): {}", rec.app, rec.problem, t.title);
         out.push(t);
-    }
-    for (label, trace) in runner.traces() {
+        let trace = rec.stats.trace.as_ref().expect("phases runs are traced");
         let mut t = gauge_table(trace);
-        t.title = format!("{label}: {}", t.title);
-        out.push(t);
+        t.title = format!("{}: {}", rec.label(), t.title);
+        gauges.push(t);
     }
+    out.extend(gauges);
     Ok(out)
 }
 
@@ -835,9 +835,6 @@ pub fn attrib(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyErro
         miss_cause_table, phase_attribution_table, sharing_hot_table, stall_attribution_table,
     };
     use splash_apps::barnes::Barnes;
-    if !runner.attrib_enabled() {
-        runner.set_attrib(true);
-    }
     let procs: Vec<usize> = if scale == Scale::Full {
         // The paper's §4 contention analysis contrasts a small and a large
         // machine; 16 and 64 processors bracket the interesting range.
@@ -846,10 +843,15 @@ pub fn attrib(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyErro
         let all = scale.procs();
         vec![all[0], all[all.len() - 1]]
     };
+    let classified = |runner: &Runner, np| {
+        let mut cfg = runner.machine_for(np);
+        cfg.classify_misses = true;
+        cfg
+    };
     let mut out = Vec::new();
     for &np in &procs {
         let w = basic("ocean", scale);
-        let rec = runner.run(w.as_ref(), np)?;
+        let rec = runner.run_on(w.as_ref(), classified(runner, np))?;
         for mut t in [
             miss_cause_table(&rec.stats),
             stall_attribution_table(&rec.stats),
@@ -863,7 +865,7 @@ pub fn attrib(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyErro
     // shared tree and body arrays.
     let np = *procs.last().expect("nonempty procs");
     let app = Barnes::new(if scale == Scale::Full { 2048 } else { 256 });
-    let rec = runner.run(&app, np)?;
+    let rec = runner.run_on(&app, classified(runner, np))?;
     let mut t = sharing_hot_table(&rec.stats);
     t.title = format!("{} ({}, {np} procs): {}", rec.app, rec.problem, t.title);
     out.push(t);
@@ -877,9 +879,6 @@ pub fn attrib(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyErro
 /// each re-weighted cost scenario.
 pub fn critpath(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyError> {
     use scaling_study::report::{critpath_table, whatif_table};
-    if !runner.critpath_enabled() {
-        runner.set_critpath(true);
-    }
     let procs: Vec<usize> = if scale == Scale::Full {
         // Small vs large machine: the paper's limiter-shift regime.
         vec![16, 64]
@@ -887,13 +886,15 @@ pub fn critpath(runner: &mut Runner, scale: Scale) -> Result<Vec<Table>, StudyEr
         let all = scale.procs();
         vec![all[0], all[all.len() - 1]]
     };
-    for &np in &procs {
-        let w = basic("ocean", scale);
-        runner.run(w.as_ref(), np)?;
-    }
     let mut out = Vec::new();
     let mut rows = Vec::new();
-    for (label, rep) in runner.take_critpaths() {
+    for &np in &procs {
+        let w = basic("ocean", scale);
+        let mut cfg = runner.machine_for(np);
+        cfg.critpath = true;
+        let rec = runner.run_on(w.as_ref(), cfg)?;
+        let label = rec.label();
+        let rep = rec.stats.critpath.expect("critpath runs are profiled");
         out.push(whatif_table(&label, &rep));
         rows.push((label, rep));
     }

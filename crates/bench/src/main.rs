@@ -33,9 +33,10 @@ use std::path::{Path, PathBuf};
 
 use ccnuma_sim::json::quote;
 use ccnuma_sim::sanitize::SanitizeReport;
-use ccnuma_sim::trace::{chrome_trace_file, Trace, TraceConfig};
+use ccnuma_sim::trace::{chrome_trace_file, Trace};
 use scaling_study::experiments::Scale;
 use scaling_study::report::Table;
+use scaling_study::runner::{Observe, Runner};
 use study_bench::figures;
 
 struct Opts {
@@ -89,43 +90,38 @@ fn emit_tables(tables: &[Table], opts: &Opts, emitted: &mut Vec<String>) -> std:
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What the observed runs of an invocation leave for the output files,
+/// each labelled `"<experiment>: app/problem/NNp"`.
+#[derive(Default)]
+struct Collected {
+    traces: Vec<(String, Trace)>,
+    attribs: Vec<(String, String)>,
+    sanitizes: Vec<(String, SanitizeReport)>,
+}
+
 fn run_one(
     name: &str,
+    runner: &mut Runner,
     opts: &Opts,
-    traces: &mut Vec<(String, Trace)>,
-    attribs: &mut Vec<(String, String)>,
-    sanitizes: &mut Vec<(String, SanitizeReport)>,
+    collected: &mut Collected,
     emitted: &mut Vec<String>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let scale = opts.scale;
-    let mut runner = figures::runner_for(scale);
-    if opts.trace.is_some() {
-        runner.set_trace(Some(TraceConfig::on()));
-    }
-    if opts.attrib.is_some() {
-        runner.set_attrib(true);
-    }
-    if opts.sanitize {
-        runner.set_sanitize(true);
-    }
-    runner.set_schedule_seed(opts.schedule_seed);
-    let tables: Vec<Table> = figures::run_experiment(name, &mut runner, scale)
+    let tables: Vec<Table> = figures::run_experiment(name, runner, opts.scale)
         .ok_or_else(|| format!("unknown experiment {name:?} (try --help)"))??;
     emit_tables(&tables, opts, emitted)?;
-    if opts.trace.is_some() {
-        for (label, trace) in runner.take_traces() {
-            traces.push((format!("{name}: {label}"), trace));
+    for (label, mut stats) in runner.drain_observed() {
+        let tagged = format!("{name}: {label}");
+        if opts.trace.is_some() {
+            if let Some(trace) = stats.trace.take() {
+                collected.traces.push((tagged.clone(), trace));
+            }
         }
-    }
-    if opts.attrib.is_some() {
-        for (label, json) in runner.take_attribs() {
-            attribs.push((format!("{name}: {label}"), json));
+        if opts.attrib.is_some() {
+            let json = scaling_study::report::attrib_json(&label, &stats);
+            collected.attribs.push((tagged.clone(), json));
         }
-    }
-    if opts.sanitize {
-        for (label, rep) in runner.take_sanitizes() {
-            sanitizes.push((format!("{name}: {label}"), rep));
+        if let Some(rep) = stats.sanitize.take() {
+            collected.sanitizes.push((tagged, rep));
         }
     }
     Ok(())
@@ -240,21 +236,22 @@ fn main() {
         eprintln!("experiments: {} all", figures::EXPERIMENT_NAMES.join(" "));
         std::process::exit(2);
     }
-    let mut traces: Vec<(String, Trace)> = Vec::new();
-    let mut attribs: Vec<(String, String)> = Vec::new();
-    let mut sanitizes: Vec<(String, SanitizeReport)> = Vec::new();
+    // One runner for the whole invocation: experiments share its
+    // sequential baselines.
+    let mut runner = figures::runner_for(opts.scale);
+    runner.observe = Observe {
+        trace: opts.trace.is_some(),
+        attrib: opts.attrib.is_some(),
+        sanitize: opts.sanitize,
+        critpath: false,
+    };
+    runner.schedule_seed = opts.schedule_seed;
+    let mut collected = Collected::default();
     let mut emitted: Vec<String> = Vec::new();
     for name in &selected {
         eprintln!("[repro] running {name} ({:?} scale)...", opts.scale);
         let t0 = std::time::Instant::now();
-        if let Err(e) = run_one(
-            name,
-            &opts,
-            &mut traces,
-            &mut attribs,
-            &mut sanitizes,
-            &mut emitted,
-        ) {
+        if let Err(e) = run_one(name, &mut runner, &opts, &mut collected, &mut emitted) {
             eprintln!("error: {name}: {e}");
             std::process::exit(1);
         }
@@ -266,7 +263,7 @@ fn main() {
             Some(dir) if path.parent().is_some_and(|p| p.as_os_str().is_empty()) => dir.join(path),
             _ => path.clone(),
         };
-        if let Err(e) = write_trace_file(&path, &traces) {
+        if let Err(e) = write_trace_file(&path, &collected.traces) {
             eprintln!("error: writing trace file: {e}");
             std::process::exit(1);
         }
@@ -277,18 +274,19 @@ fn main() {
         }
     }
     if let Some(dir) = &opts.attrib {
-        if let Err(e) = write_attrib_files(dir, &attribs, &opts, &mut emitted) {
+        if let Err(e) = write_attrib_files(dir, &collected.attribs, &opts, &mut emitted) {
             eprintln!("error: writing attribution files: {e}");
             std::process::exit(1);
         }
     }
     if opts.sanitize {
+        let sanitizes = &collected.sanitizes;
         let dirty = sanitizes.iter().filter(|(_, r)| !r.is_clean()).count();
         eprintln!(
             "[repro] sanitize: {} run(s) checked, {dirty} with findings",
             sanitizes.len()
         );
-        for (label, rep) in &sanitizes {
+        for (label, rep) in sanitizes {
             if !rep.is_clean() {
                 eprintln!("[repro]   {label}: {}", rep.summary());
             }

@@ -2,21 +2,23 @@
 //! baselines — the measurement harness of the study.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ccnuma_sim::config::MachineConfig;
-use ccnuma_sim::critpath::CritReport;
 use ccnuma_sim::error::SimError;
 use ccnuma_sim::machine::Machine;
-use ccnuma_sim::sanitize::SanitizeReport;
+use ccnuma_sim::mapping::ProcessMapping;
+use ccnuma_sim::schedule::ScheduleConfig;
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
-use ccnuma_sim::trace::{Trace, TraceConfig};
+use ccnuma_sim::trace::TraceConfig;
 use splash_apps::common::Workload;
 
 use crate::metrics;
 
 /// An error while running a study measurement.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum StudyError {
     /// The simulation failed (configuration, deadlock, panic).
@@ -76,193 +78,43 @@ impl RunRecord {
     pub fn efficiency(&self) -> f64 {
         metrics::efficiency(self.seq_ns, self.wall_ns, self.nprocs)
     }
+
+    /// The run's `"app/problem/NNp"` label, under which observer output
+    /// (traces, attribution, sanitizer and critical-path reports) is
+    /// filed.
+    pub fn label(&self) -> String {
+        format!("{}/{}/{}p", self.app, self.problem, self.nprocs)
+    }
 }
 
-/// The measurement harness: builds machines, runs workloads, verifies
-/// results, and caches sequential baselines per (app, problem, machine
-/// fingerprint).
-#[derive(Debug)]
-pub struct Runner {
-    /// Cache size of the scaled machine (see
-    /// [`MachineConfig::origin2000_scaled`]).
-    cache_bytes: usize,
-    baselines: HashMap<(String, String, String), Ns>,
-    /// When set, parallel runs are traced with this configuration and the
-    /// resulting traces collected in [`Runner::traces`].
-    trace: Option<TraceConfig>,
-    traces: Vec<(String, Trace)>,
-    /// When true, parallel runs classify misses and each run's attribution
-    /// JSON is collected in `attribs`.
-    attrib: bool,
-    attribs: Vec<(String, String)>,
-    /// When true, parallel runs race-check their event stream and each
-    /// run's [`SanitizeReport`] is collected in `sanitizes`.
-    sanitize: bool,
-    sanitizes: Vec<(String, SanitizeReport)>,
-    /// When true, parallel runs profile their critical path and each
-    /// run's [`CritReport`] is collected in `critpaths`.
-    critpath: bool,
-    critpaths: Vec<(String, CritReport)>,
-    /// When set, parallel runs execute under the seeded schedule
-    /// perturbation; sequential baselines always stay unperturbed.
-    schedule_seed: Option<u64>,
+/// The observers a [`Runner`] switches on for every parallel run, and a
+/// sweep cell (`ccnuma_sweep::matrix::CellSpec::machine`) for its run.
+/// Switches apply on-only: an observer the run's own
+/// [`MachineConfig`] already enables stays on. Every observer is
+/// passive, so switching one on never changes simulated results.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observe {
+    /// Record a time-resolved event trace ([`MachineConfig::trace`]).
+    pub trace: bool,
+    /// Classify misses for stall attribution
+    /// ([`MachineConfig::classify_misses`]).
+    pub attrib: bool,
+    /// Race-check the event stream ([`MachineConfig::sanitize`]).
+    pub sanitize: bool,
+    /// Profile the critical path ([`MachineConfig::critpath`]).
+    pub critpath: bool,
 }
 
-impl Runner {
-    /// A runner whose machines use `cache_bytes` of L2 per processor.
-    pub fn new(cache_bytes: usize) -> Self {
-        Runner {
-            cache_bytes,
-            baselines: HashMap::new(),
-            trace: None,
-            traces: Vec::new(),
-            attrib: false,
-            attribs: Vec::new(),
-            sanitize: false,
-            sanitizes: Vec::new(),
-            critpath: false,
-            critpaths: Vec::new(),
-            schedule_seed: None,
-        }
+impl Observe {
+    /// Whether any observer is switched on.
+    pub fn any(self) -> bool {
+        self.trace || self.attrib || self.sanitize || self.critpath
     }
 
-    /// Enables (or, with `None`, disables) event tracing of parallel runs.
-    /// Each traced run's [`Trace`] is collected under a
-    /// `"app/problem/NNp"` label; drain them with [`Runner::take_traces`].
-    /// Sequential baseline runs are never traced.
-    pub fn set_trace(&mut self, trace: Option<TraceConfig>) {
-        self.trace = trace;
-    }
-
-    /// Whether event tracing of parallel runs is currently enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// The traces collected so far, labelled `"app/problem/NNp"`, without
-    /// draining them.
-    pub fn traces(&self) -> &[(String, Trace)] {
-        &self.traces
-    }
-
-    /// Takes the traces collected so far, labelled `"app/problem/NNp"`.
-    pub fn take_traces(&mut self) -> Vec<(String, Trace)> {
-        std::mem::take(&mut self.traces)
-    }
-
-    /// Enables (or disables) miss-classification and stall attribution of
-    /// parallel runs. While enabled, every parallel run forces
-    /// [`MachineConfig::classify_misses`] and its attribution JSON (see
-    /// [`crate::report::attrib_json`]) is collected under an
-    /// `"app/problem/NNp"` label; drain them with [`Runner::take_attribs`].
-    pub fn set_attrib(&mut self, on: bool) {
-        self.attrib = on;
-    }
-
-    /// Whether stall attribution of parallel runs is currently enabled.
-    pub fn attrib_enabled(&self) -> bool {
-        self.attrib
-    }
-
-    /// Takes the attribution JSON documents collected so far, labelled
-    /// `"app/problem/NNp"`.
-    pub fn take_attribs(&mut self) -> Vec<(String, String)> {
-        std::mem::take(&mut self.attribs)
-    }
-
-    /// Enables (or disables) happens-before sanitizing of parallel runs.
-    /// While enabled, every parallel run forces
-    /// [`MachineConfig::sanitize`] on and the resulting
-    /// [`SanitizeReport`] is collected under an `"app/problem/NNp"`
-    /// label; drain them with [`Runner::take_sanitizes`]. Sanitizing is
-    /// observational: it never changes simulated timing.
-    pub fn set_sanitize(&mut self, on: bool) {
-        self.sanitize = on;
-    }
-
-    /// Whether happens-before sanitizing of parallel runs is enabled.
-    pub fn sanitize_enabled(&self) -> bool {
-        self.sanitize
-    }
-
-    /// Takes the sanitize reports collected so far, labelled
-    /// `"app/problem/NNp"`.
-    pub fn take_sanitizes(&mut self) -> Vec<(String, SanitizeReport)> {
-        std::mem::take(&mut self.sanitizes)
-    }
-
-    /// Enables (or disables) critical-path profiling of parallel runs.
-    /// While enabled, every parallel run forces
-    /// [`MachineConfig::critpath`] on and the resulting [`CritReport`]
-    /// is collected under an `"app/problem/NNp"` label; drain them with
-    /// [`Runner::take_critpaths`]. Profiling is observational: it never
-    /// changes simulated timing.
-    pub fn set_critpath(&mut self, on: bool) {
-        self.critpath = on;
-    }
-
-    /// Whether critical-path profiling of parallel runs is enabled.
-    pub fn critpath_enabled(&self) -> bool {
-        self.critpath
-    }
-
-    /// Takes the critical-path reports collected so far, labelled
-    /// `"app/problem/NNp"`.
-    pub fn take_critpaths(&mut self) -> Vec<(String, CritReport)> {
-        std::mem::take(&mut self.critpaths)
-    }
-
-    /// Sets (or, with `None`, clears) the schedule-perturbation seed.
-    /// While set, every parallel run executes under
-    /// [`ScheduleConfig::random`](ccnuma_sim::schedule::ScheduleConfig::random)
-    /// with this seed — a different but bit-reproducible interleaving.
-    /// Sequential baselines are never perturbed: speedups stay measured
-    /// against the one unperturbed denominator.
-    pub fn set_schedule_seed(&mut self, seed: Option<u64>) {
-        self.schedule_seed = seed;
-    }
-
-    /// The schedule-perturbation seed currently applied to parallel runs.
-    pub fn schedule_seed(&self) -> Option<u64> {
-        self.schedule_seed
-    }
-
-    /// The default scaled machine configuration for `nprocs` processors.
-    pub fn machine_for(&self, nprocs: usize) -> MachineConfig {
-        MachineConfig::origin2000_scaled(nprocs, self.cache_bytes)
-    }
-
-    fn fingerprint(cfg: &MachineConfig) -> String {
-        // The baseline depends on everything that affects a uniprocessor
-        // run: cache geometry, latencies, page policy, cost model.
-        format!(
-            "{}b/{}w/{}l/{}pg/{:?}/{}mem/{}",
-            cfg.cache.size_bytes,
-            cfg.cache.assoc,
-            cfg.cache.line_bytes,
-            cfg.page_bytes,
-            cfg.placement,
-            cfg.mem_per_node_bytes,
-            cfg.latency.name,
-        ) + &format!("/{}ns", cfg.latency.local_ns)
-    }
-
-    /// Runs `workload` on a machine configured by `cfg`, verifying the
-    /// result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StudyError::Sim`] on simulation failure and
-    /// [`StudyError::Verify`] if the computed result is wrong.
-    pub fn run_on(
-        &mut self,
-        workload: &dyn Workload,
-        cfg: MachineConfig,
-    ) -> Result<RunRecord, StudyError> {
-        let seq_ns = self.sequential_ns(workload, &cfg)?;
-        let mut cfg = cfg;
-        if let Some(tc) = &self.trace {
-            cfg.trace = tc.clone();
+    /// Switches the selected observers on in `cfg`.
+    pub fn apply(self, cfg: &mut MachineConfig) {
+        if self.trace {
+            cfg.trace = TraceConfig::on();
         }
         if self.attrib {
             cfg.classify_misses = true;
@@ -273,32 +125,170 @@ impl Runner {
         if self.critpath {
             cfg.critpath = true;
         }
+    }
+}
+
+/// The machine a run's sequential baseline executes on: `cfg` with one
+/// processor, the linear mapping, no schedule perturbation (every seed
+/// of a cell shares the one unperturbed denominator) and every observer
+/// off. This is the only definition of the baseline machine; speedup and
+/// efficiency everywhere divide by a run on it.
+pub fn seq_config(cfg: &MachineConfig) -> MachineConfig {
+    let mut seq = cfg.clone();
+    seq.nprocs = 1;
+    seq.mapping = ProcessMapping::Linear;
+    seq.schedule = None;
+    seq.classify_misses = false;
+    seq.trace = TraceConfig::default();
+    seq.sanitize.enabled = false;
+    seq.critpath = false;
+    seq.profile = false;
+    seq
+}
+
+/// One baseline computation, shared by every run that needs it.
+type BaselineSlot = Arc<OnceLock<Result<Ns, StudyError>>>;
+
+/// The sequential-baseline cache: one entry per workload name, problem
+/// and [`seq_config`] fingerprint
+/// ([`MachineConfig::stable_fingerprint`]), so any two runs whose
+/// baselines would simulate the same thing share one. The key assumes a
+/// workload's name and problem identify its program, as they do across
+/// the experiment catalog's variants. It is safe to use from many
+/// threads: concurrent requesters of one baseline block on the same
+/// [`OnceLock`] instead of duplicating the run, and a panic inside the
+/// run is caught and cached as a [`SimError::AppPanic`].
+#[derive(Debug, Default)]
+pub struct Baselines {
+    slots: Mutex<HashMap<(String, String, String), BaselineSlot>>,
+}
+
+impl Baselines {
+    /// The sequential baseline of `workload` for a run on `cfg`,
+    /// simulated on [`seq_config`]`(cfg)` the first time it is asked
+    /// for.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute_workload`]; a failed baseline stays failed.
+    pub fn get(&self, workload: &dyn Workload, cfg: &MachineConfig) -> Result<Ns, StudyError> {
+        let seq = seq_config(cfg);
+        let key = (
+            workload.name(),
+            workload.problem(),
+            seq.stable_fingerprint(),
+        );
+        let slot = {
+            let mut slots = self.slots.lock().expect("baseline cache lock poisoned");
+            Arc::clone(slots.entry(key).or_default())
+        };
+        slot.get_or_init(|| {
+            catch_unwind(AssertUnwindSafe(|| execute_workload(workload, seq)))
+                .unwrap_or_else(|p| Err(SimError::AppPanic(panic_message(p)).into()))
+                .map(|(ns, _)| ns)
+        })
+        .clone()
+    }
+
+    /// The number of distinct baselines requested so far.
+    pub fn len(&self) -> usize {
+        self.slots
+            .lock()
+            .expect("baseline cache lock poisoned")
+            .len()
+    }
+
+    /// Whether no baseline has been requested yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The text of a caught panic's payload.
+pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
+}
+
+/// The measurement harness: builds machines, runs workloads, verifies
+/// results, and caches sequential baselines ([`Baselines`]).
+#[derive(Debug)]
+pub struct Runner {
+    /// Cache size of the scaled machine (see
+    /// [`MachineConfig::origin2000_scaled`]).
+    cache_bytes: usize,
+    baselines: Baselines,
+    /// Observers switched on for every parallel run; sequential
+    /// baselines never observe. While any is on, each parallel run's
+    /// statistics are kept for [`Runner::drain_observed`].
+    pub observe: Observe,
+    /// When set, every parallel run executes under
+    /// [`ScheduleConfig::random`] with this seed — a different but
+    /// bit-reproducible interleaving. Sequential baselines are never
+    /// perturbed: speedups stay measured against the one unperturbed
+    /// denominator.
+    pub schedule_seed: Option<u64>,
+    observed: Vec<(String, RunStats)>,
+}
+
+impl Runner {
+    /// A runner whose machines use `cache_bytes` of L2 per processor.
+    pub fn new(cache_bytes: usize) -> Self {
+        Runner {
+            cache_bytes,
+            baselines: Baselines::default(),
+            observe: Observe::default(),
+            schedule_seed: None,
+            observed: Vec::new(),
+        }
+    }
+
+    /// Takes the statistics of the parallel runs made while
+    /// [`Runner::observe`] had an observer on, in run order, each under
+    /// its [`RunRecord::label`].
+    pub fn drain_observed(&mut self) -> Vec<(String, RunStats)> {
+        std::mem::take(&mut self.observed)
+    }
+
+    /// The default scaled machine configuration for `nprocs` processors.
+    pub fn machine_for(&self, nprocs: usize) -> MachineConfig {
+        MachineConfig::origin2000_scaled(nprocs, self.cache_bytes)
+    }
+
+    /// Runs `workload` on a machine configured by `cfg` (plus the
+    /// runner's [`Observe`] switches and schedule seed), verifying the
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StudyError::Sim`] on simulation failure and
+    /// [`StudyError::Verify`] if the computed result is wrong.
+    pub fn run_on(
+        &mut self,
+        workload: &dyn Workload,
+        mut cfg: MachineConfig,
+    ) -> Result<RunRecord, StudyError> {
+        let seq_ns = self.sequential_ns(workload, &cfg)?;
+        self.observe.apply(&mut cfg);
         if let Some(seed) = self.schedule_seed {
-            cfg.schedule = Some(ccnuma_sim::schedule::ScheduleConfig::random(seed));
+            cfg.schedule = Some(ScheduleConfig::random(seed));
         }
-        let (wall_ns, mut stats) = Self::execute(workload, cfg.clone())?;
-        let label = format!("{}/{}/{}p", workload.name(), workload.problem(), cfg.nprocs);
-        if let Some(trace) = stats.trace.take() {
-            self.traces.push((label.clone(), trace));
-        }
-        if self.attrib {
-            let json = crate::report::attrib_json(&label, &stats);
-            self.attribs.push((label.clone(), json));
-        }
-        if let Some(rep) = stats.sanitize.clone() {
-            self.sanitizes.push((label.clone(), rep));
-        }
-        if let Some(rep) = stats.critpath.clone() {
-            self.critpaths.push((label, rep));
-        }
-        Ok(RunRecord {
+        let nprocs = cfg.nprocs;
+        let (wall_ns, stats) = execute_workload(workload, cfg)?;
+        let rec = RunRecord {
             app: workload.name(),
             problem: workload.problem(),
-            nprocs: cfg.nprocs,
+            nprocs,
             wall_ns,
             seq_ns,
             stats,
-        })
+        };
+        if self.observe.any() {
+            self.observed.push((rec.label(), rec.stats.clone()));
+        }
+        Ok(rec)
     }
 
     /// Runs `workload` on the default scaled machine with `nprocs`
@@ -311,34 +301,18 @@ impl Runner {
         self.run_on(workload, self.machine_for(nprocs))
     }
 
-    /// The cached sequential (1-processor) baseline for `workload` on a
-    /// machine like `cfg`.
+    /// The cached sequential baseline for `workload` on a machine like
+    /// `cfg` (see [`Baselines::get`]).
     ///
     /// # Errors
     ///
     /// As [`Runner::run_on`].
     pub fn sequential_ns(
-        &mut self,
+        &self,
         workload: &dyn Workload,
         cfg: &MachineConfig,
     ) -> Result<Ns, StudyError> {
-        let key = (workload.name(), workload.problem(), Self::fingerprint(cfg));
-        if let Some(&ns) = self.baselines.get(&key) {
-            return Ok(ns);
-        }
-        let mut seq_cfg = cfg.clone();
-        seq_cfg.nprocs = 1;
-        seq_cfg.mapping = ccnuma_sim::mapping::ProcessMapping::Linear;
-        // The baseline is the unperturbed denominator: one cached run
-        // shared by every schedule seed of the cell.
-        seq_cfg.schedule = None;
-        let (ns, _) = Self::execute(workload, seq_cfg)?;
-        self.baselines.insert(key, ns);
-        Ok(ns)
-    }
-
-    fn execute(workload: &dyn Workload, cfg: MachineConfig) -> Result<(Ns, RunStats), StudyError> {
-        execute_workload(workload, cfg)
+        self.baselines.get(workload, cfg)
     }
 }
 
@@ -384,7 +358,7 @@ mod tests {
 
     #[test]
     fn baselines_are_cached() {
-        let mut r = Runner::new(64 << 10);
+        let r = Runner::new(64 << 10);
         let w = Sor::new(16);
         let cfg = r.machine_for(4);
         let a = r.sequential_ns(&w, &cfg).unwrap();
@@ -396,7 +370,7 @@ mod tests {
 
     #[test]
     fn different_machines_get_different_baselines() {
-        let mut r = Runner::new(64 << 10);
+        let r = Runner::new(64 << 10);
         let w = Sor::new(16);
         let cfg_a = r.machine_for(4);
         let mut cfg_b = cfg_a.clone();
@@ -407,15 +381,62 @@ mod tests {
     }
 
     #[test]
+    fn baseline_key_covers_the_cost_model() {
+        let r = Runner::new(64 << 10);
+        let w = Sor::new(16);
+        let cfg_a = r.machine_for(4);
+        let mut cfg_b = cfg_a.clone();
+        cfg_b.cost.flop_ns *= 2;
+        let a = r.sequential_ns(&w, &cfg_a).unwrap();
+        let b = r.sequential_ns(&w, &cfg_b).unwrap();
+        assert!(b > a, "slower flops must slow the baseline: {a} vs {b}");
+        assert_eq!(r.baselines.len(), 2);
+    }
+
+    #[test]
+    fn baselines_ignore_observers_and_schedule() {
+        let r = Runner::new(64 << 10);
+        let w = Sor::new(16);
+        let plain = r.machine_for(4);
+        let mut observed = plain.clone();
+        Observe {
+            trace: true,
+            attrib: true,
+            sanitize: true,
+            critpath: true,
+        }
+        .apply(&mut observed);
+        observed.schedule = Some(ScheduleConfig::random(3));
+        assert_eq!(seq_config(&plain), seq_config(&observed));
+        let a = r.sequential_ns(&w, &plain).unwrap();
+        let b = r.sequential_ns(&w, &observed).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(r.baselines.len(), 1);
+    }
+
+    #[test]
+    fn run_on_keeps_the_trace_in_its_record() {
+        let mut r = Runner::new(64 << 10);
+        let mut cfg = r.machine_for(4);
+        cfg.trace = TraceConfig::on();
+        let rec = r.run_on(&Sor::new(16), cfg).unwrap();
+        assert!(rec.stats.trace.is_some());
+        // No runner observer is on, so nothing is kept for draining.
+        assert!(r.drain_observed().is_empty());
+    }
+
+    #[test]
     fn attrib_collects_labelled_json() {
         let mut r = Runner::new(64 << 10);
-        assert!(!r.attrib_enabled());
-        r.set_attrib(true);
+        assert!(!r.observe.any());
+        r.observe.attrib = true;
         let w = Sor::new(16);
-        r.run(&w, 4).unwrap();
-        let attribs = r.take_attribs();
-        assert_eq!(attribs.len(), 1);
-        let (label, json) = &attribs[0];
+        let rec = r.run(&w, 4).unwrap();
+        let observed = r.drain_observed();
+        assert_eq!(observed.len(), 1);
+        let (label, stats) = &observed[0];
+        assert_eq!(*label, rec.label());
+        let json = &crate::report::attrib_json(label, stats);
         assert!(
             label.starts_with("sor/") && label.ends_with("/4p"),
             "{label}"
@@ -425,7 +446,7 @@ mod tests {
         // Classification was forced on: the causes section carries counts.
         assert!(json.contains("\"cold\""), "{json}");
         // Drained: a second take returns nothing.
-        assert!(r.take_attribs().is_empty());
+        assert!(r.drain_observed().is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod store;
 /// for crates (the daemon) that reach the simulator only through here.
 pub use ccnuma_sim::json;
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -212,11 +211,15 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         sink(store.append(&rec));
         if let Some(stats) = &stats {
             if let Some(dir) = &cfg.attrib_dir {
-                sink(write_attrib(dir, spec, stats));
+                sink(write_cell_file(dir, spec, ".json", |label| {
+                    scaling_study::report::attrib_json(label, stats)
+                }));
             }
             if let Some(trace) = &stats.trace {
                 if let Some(dir) = &cfg.trace_dir {
-                    sink(write_trace(dir, spec, trace));
+                    sink(write_cell_file(dir, spec, ".trace.json", |label| {
+                        ccnuma_sim::trace::chrome_trace_file(&[(label.to_string(), trace)])
+                    }));
                 }
                 if !trace.gauges.is_empty() {
                     gauges
@@ -233,7 +236,9 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
             }
             if let Some(rep) = &stats.critpath {
                 if let Some(dir) = &cfg.trace_dir {
-                    sink(write_critpath_trace(dir, spec, rep));
+                    sink(write_cell_file(dir, spec, ".critpath.json", |label| {
+                        rep.to_chrome_json(label)
+                    }));
                 }
                 critpaths
                     .lock()
@@ -312,38 +317,18 @@ fn safe_name(label: &str) -> String {
         .collect()
 }
 
-fn write_attrib(
+/// Writes one per-cell export file, `<dir>/<safe label><suffix>`, whose
+/// body `render` builds from the cell's label.
+fn write_cell_file(
     dir: &Path,
     spec: &CellSpec,
-    stats: &ccnuma_sim::stats::RunStats,
+    suffix: &str,
+    render: impl FnOnce(&str) -> String,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let label = spec.label();
-    let json = scaling_study::report::attrib_json(&label, stats);
-    let mut f = std::fs::File::create(dir.join(format!("{}.json", safe_name(&label))))?;
-    f.write_all(json.as_bytes())
-}
-
-fn write_trace(
-    dir: &Path,
-    spec: &CellSpec,
-    trace: &ccnuma_sim::trace::Trace,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let label = spec.label();
-    let json = ccnuma_sim::trace::chrome_trace_file(&[(label.clone(), trace)]);
-    let mut f = std::fs::File::create(dir.join(format!("{}.trace.json", safe_name(&label))))?;
-    f.write_all(json.as_bytes())
-}
-
-fn write_critpath_trace(
-    dir: &Path,
-    spec: &CellSpec,
-    rep: &ccnuma_sim::critpath::CritReport,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let label = spec.label();
-    let json = rep.to_chrome_json(&label);
-    let mut f = std::fs::File::create(dir.join(format!("{}.critpath.json", safe_name(&label))))?;
-    f.write_all(json.as_bytes())
+    std::fs::write(
+        dir.join(format!("{}{suffix}", safe_name(&label))),
+        render(&label),
+    )
 }

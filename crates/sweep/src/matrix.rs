@@ -15,6 +15,7 @@
 
 use ccnuma_sim::config::MachineConfig;
 use scaling_study::experiments::{self, Scale, APP_IDS, ORIGINAL_VERSION};
+use scaling_study::runner::Observe;
 use splash_apps::common::Workload;
 
 use crate::key::RunKey;
@@ -360,20 +361,21 @@ impl CellSpec {
     }
 
     /// The machine configuration the cell runs on: the scale's default
-    /// scaled Origin2000, with miss classification folded in when
-    /// [`CellSpec::attrib`] is set, tracing when [`CellSpec::trace`],
-    /// and seeded schedule perturbation when [`CellSpec::sched_seed`].
+    /// scaled Origin2000, with the cell's observers switched on
+    /// ([`Observe`]) and seeded schedule perturbation when
+    /// [`CellSpec::sched_seed`] is set.
     pub fn machine(&self) -> MachineConfig {
         let mut cfg = MachineConfig::origin2000_scaled(self.nprocs, self.scale.cache_bytes());
-        cfg.classify_misses = self.attrib;
-        cfg.sanitize.enabled = self.sanitize;
-        cfg.critpath = self.critpath;
+        Observe {
+            trace: self.trace,
+            attrib: self.attrib,
+            sanitize: self.sanitize,
+            critpath: self.critpath,
+        }
+        .apply(&mut cfg);
         cfg.schedule = self
             .sched_seed
             .map(ccnuma_sim::schedule::ScheduleConfig::random);
-        if self.trace {
-            cfg.trace = ccnuma_sim::trace::TraceConfig::on();
-        }
         cfg
     }
 

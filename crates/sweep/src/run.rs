@@ -2,15 +2,13 @@
 //! itself, sequential-baseline lookup, panic isolation, timeout and
 //! retry — everything between a [`CellSpec`] and its [`CellRecord`].
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ccnuma_sim::mapping::ProcessMapping;
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
-use scaling_study::runner::{execute_workload, StudyError};
+use scaling_study::runner::{execute_workload, panic_message, Baselines, StudyError};
+use splash_apps::common::Workload;
 
 use crate::events::{emit, EventSink, ExecEvent};
 use crate::matrix::{scale_name, CellSpec};
@@ -41,14 +39,13 @@ enum Attempt {
 }
 
 /// The shared per-sweep execution environment: options plus the
-/// sequential-baseline cache (one baseline per app/version/problem and
-/// machine fingerprint, computed once no matter how many processor
-/// counts share it — concurrent requesters block on the same
-/// [`OnceLock`] instead of duplicating the run).
+/// sequential-baseline cache ([`Baselines`]: one baseline per workload
+/// and baseline machine, computed once no matter how many processor
+/// counts, seeds or observer settings share it).
 #[derive(Default)]
 pub struct Executor {
     opts: RunOptions,
-    baselines: Mutex<HashMap<String, BaselineSlot>>,
+    baselines: Baselines,
     events: Option<EventSink>,
 }
 
@@ -61,15 +58,12 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-/// One baseline computation, shared by every cell that needs it.
-type BaselineSlot = Arc<OnceLock<Result<Ns, String>>>;
-
 impl Executor {
     /// An executor with the given options.
     pub fn new(opts: RunOptions) -> Self {
         Executor {
             opts,
-            baselines: Mutex::new(HashMap::new()),
+            baselines: Baselines::default(),
             events: None,
         }
     }
@@ -94,31 +88,19 @@ impl Executor {
     pub fn run_cell_full(&self, spec: &CellSpec) -> (CellRecord, Option<RunStats>) {
         let t0 = Instant::now();
         let label = spec.label();
+        let workload = spec.workload();
         let mut rec = CellRecord {
             key: spec.key().hash_hex(),
             label: label.clone(),
             app: spec.app.clone(),
             version: spec.version.clone(),
-            problem: spec
-                .workload()
-                .map(|w| w.problem())
-                .unwrap_or_else(|| "?".into()),
+            problem: workload
+                .as_ref()
+                .map_or_else(|| "?".into(), |w| w.problem()),
             nprocs: spec.nprocs,
             scale: scale_name(spec.scale).to_string(),
             status: CellStatus::Failed,
-            attempts: 0,
-            host_ms: 0,
-            wall_ns: 0,
-            seq_ns: 0,
-            busy_ns: 0,
-            mem_ns: 0,
-            sync_ns: 0,
-            misses: 0,
-            events: 0,
-            causes: [0; 5],
-            sanitize: None,
-            critpath: None,
-            error: None,
+            ..CellRecord::default()
         };
         emit(
             &self.events,
@@ -133,7 +115,7 @@ impl Executor {
             match self.attempt(spec, &label) {
                 Attempt::Done(res) => {
                     let (wall, stats) = *res;
-                    match self.baseline_ns(spec) {
+                    match self.baseline_ns(workload.as_deref(), spec) {
                         Ok(seq) => {
                             rec.status = CellStatus::Ok;
                             rec.error = None;
@@ -217,44 +199,13 @@ impl Executor {
         }
     }
 
-    /// The cached sequential (1-processor, linear-mapped) baseline for
-    /// the cell's workload, mirroring
-    /// [`Runner::sequential_ns`](scaling_study::runner::Runner::sequential_ns).
-    fn baseline_ns(&self, spec: &CellSpec) -> Result<Ns, String> {
-        let mut seq_cfg = spec.machine();
-        seq_cfg.nprocs = 1;
-        seq_cfg.mapping = ProcessMapping::Linear;
-        // The baseline is the *unperturbed* sequential time: schedule
-        // exploration must compare against the same denominator, and all
-        // seeds of one cell share one cached baseline run.
-        seq_cfg.schedule = None;
-        let mut seq_spec = spec.clone();
-        seq_spec.nprocs = 1;
-        seq_spec.sched_seed = None;
-        let cache_key = format!(
-            "{}/{}/{:?}@{}",
-            spec.app,
-            spec.version,
-            spec.size,
-            seq_cfg.stable_fingerprint()
-        );
-        let slot = {
-            let mut map = self.baselines.lock().expect("baseline cache lock poisoned");
-            Arc::clone(map.entry(cache_key).or_default())
-        };
-        slot.get_or_init(|| {
-            let run = || -> Result<Ns, String> {
-                let w = seq_spec
-                    .workload()
-                    .ok_or_else(|| format!("no workload for {}", seq_spec.label()))?;
-                let (ns, _) =
-                    execute_workload(w.as_ref(), seq_cfg.clone()).map_err(|e| e.to_string())?;
-                Ok(ns)
-            };
-            catch_unwind(AssertUnwindSafe(run))
-                .unwrap_or_else(|p| Err(format!("baseline panicked: {}", panic_message(p))))
-        })
-        .clone()
+    /// The cached sequential baseline for the cell's workload and
+    /// machine ([`Baselines::get`]).
+    fn baseline_ns(&self, workload: Option<&dyn Workload>, spec: &CellSpec) -> Result<Ns, String> {
+        let w = workload.ok_or_else(|| format!("no workload for {}", spec.label()))?;
+        self.baselines
+            .get(w, &spec.machine())
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -281,13 +232,6 @@ fn run_attempt(spec: &CellSpec, label: &str, inject_panic: Option<&str>) -> Atte
         }
     };
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| Attempt::Panicked(panic_message(p)))
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
 }
 
 #[cfg(test)]
@@ -327,11 +271,24 @@ mod tests {
         let a = ex.run_cell(&cell("fft", 2));
         let b = ex.run_cell(&cell("fft", 4));
         assert_eq!(a.seq_ns, b.seq_ns, "same machine family, same baseline");
-        assert_eq!(
-            ex.baselines.lock().unwrap().len(),
-            1,
-            "one cache entry serves both cells"
-        );
+        assert_eq!(ex.baselines.len(), 1, "one cache entry serves both cells");
+    }
+
+    #[test]
+    fn baseline_is_shared_across_observer_settings() {
+        let ex = Executor::new(RunOptions::default());
+        let plain = ex.run_cell(&cell("fft", 4));
+        let observed = ex.run_cell(&CellSpec {
+            attrib: true,
+            trace: true,
+            sanitize: true,
+            critpath: true,
+            ..cell("fft", 4)
+        });
+        assert_eq!(plain.status, CellStatus::Ok);
+        assert_eq!(observed.status, CellStatus::Ok);
+        assert_eq!(plain.seq_ns, observed.seq_ns);
+        assert_eq!(ex.baselines.len(), 1, "observers never reach the baseline");
     }
 
     #[test]

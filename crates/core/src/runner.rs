@@ -6,7 +6,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ccnuma_sim::config::MachineConfig;
-use ccnuma_sim::error::SimError;
+use ccnuma_sim::error::{panic_message, SimError};
 use ccnuma_sim::machine::Machine;
 use ccnuma_sim::mapping::ProcessMapping;
 use ccnuma_sim::schedule::ScheduleConfig;
@@ -202,14 +202,6 @@ impl Baselines {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// The text of a caught panic's payload.
-pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
 }
 
 /// The measurement harness: builds machines, runs workloads, verifies

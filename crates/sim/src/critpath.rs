@@ -39,6 +39,7 @@
 use crate::attrib::{cause_slot_name, LatencyBreakdown, ResourceClass, CAUSE_SLOTS};
 use crate::chrome::{us, ChromeDoc};
 use crate::json::quote;
+use crate::observe::Wake;
 use crate::time::Ns;
 
 /// Sentinel item index meaning "the beginning of time" (the referenced
@@ -149,6 +150,8 @@ struct ProcState {
     /// Current end of this processor's recorded timeline (its clock).
     end: Ns,
     phase: u32,
+    /// The item that ends at this processor's last barrier arrival.
+    arrival: u32,
 }
 
 impl ProcState {
@@ -158,6 +161,7 @@ impl ProcState {
             open: OpenChunk::default(),
             end: 0,
             phase: 0,
+            arrival: NO_ITEM,
         }
     }
 
@@ -248,7 +252,7 @@ impl CritCollector {
     /// release, semaphore post, or barrier arrival): closes the open chunk
     /// and returns the index of the item that ends at `t` ([`NO_ITEM`] if
     /// the processor has recorded nothing yet).
-    pub(crate) fn boundary(&mut self, p: usize, t: Ns) -> u32 {
+    fn boundary(&mut self, p: usize, t: Ns) -> u32 {
         let s = &mut self.procs[p];
         debug_assert_eq!(s.end, t, "boundary time must match the recorded clock");
         s.close_open();
@@ -259,17 +263,35 @@ impl CritCollector {
         }
     }
 
-    /// Registers a barrier episode over all participants' arrivals and
-    /// returns its id for [`Dep::Episode`].
-    pub(crate) fn add_episode(&mut self, deps: Vec<(usize, u32, Ns)>) -> u32 {
+    /// Processor `p` arrived at a barrier, at its recorded clock. It stays
+    /// parked until the release, so this boundary is its episode entry.
+    pub(crate) fn barrier_arrive(&mut self, p: usize) {
+        let t = self.procs[p].end;
+        self.procs[p].arrival = self.boundary(p, t);
+    }
+
+    /// A barrier released every `(processor, arrival time)` of
+    /// `arrivals`: registers the episode their [`Wake::Barrier`] waits
+    /// point at. One episode covers *all* arrivals, so the what-if replay
+    /// can re-evaluate which is latest.
+    pub(crate) fn barrier_release(&mut self, arrivals: &[(usize, Ns)]) {
+        let deps = arrivals
+            .iter()
+            .map(|&(w, a)| (w, self.procs[w].arrival, a))
+            .collect();
         self.episodes.push(Episode { deps });
-        (self.episodes.len() - 1) as u32
     }
 
     /// Processor `p` blocked from `arrived` until `grant` (`grant >
-    /// arrived`) on a `kind` wait whose releaser is `dep`.
-    pub(crate) fn wait(&mut self, p: usize, arrived: Ns, grant: Ns, kind: WaitKind, dep: Dep) {
+    /// arrived`), released by `wake`. A lock or semaphore releaser is at
+    /// `grant` itself, since its release is what ended the wait.
+    pub(crate) fn wait(&mut self, p: usize, arrived: Ns, grant: Ns, wake: Wake) {
         debug_assert!(grant > arrived, "zero-length waits are not recorded");
+        let (kind, dep) = match wake {
+            Wake::Lock(q) => (WaitKind::Lock, Dep::One(q, self.boundary(q, grant))),
+            Wake::Sem(q) => (WaitKind::Sem, Dep::One(q, self.boundary(q, grant))),
+            Wake::Barrier => (WaitKind::Barrier, Dep::Episode(self.episodes.len() as u32)),
+        };
         let s = &mut self.procs[p];
         debug_assert_eq!(s.end, arrived, "wait must start at the recorded clock");
         s.close_open();
@@ -1000,8 +1022,7 @@ mod tests {
         let mut c = CritCollector::new(2);
         c.busy(0, 100);
         c.busy(1, 30);
-        let rel = c.boundary(0, 100);
-        c.wait(1, 30, 100, WaitKind::Lock, Dep::One(0, rel));
+        c.wait(1, 30, 100, Wake::Lock(0));
         c.busy(1, 50);
         c
     }
@@ -1043,13 +1064,12 @@ mod tests {
         c.busy(0, 10);
         c.busy(1, 40);
         c.busy(2, 100);
-        let deps: Vec<(usize, u32, Ns)> = [(0usize, 10u64), (1, 40), (2, 100)]
-            .iter()
-            .map(|&(p, t)| (p, c.boundary(p, t), t))
-            .collect();
-        let e = c.add_episode(deps);
-        c.wait(0, 10, 100, WaitKind::Barrier, Dep::Episode(e));
-        c.wait(1, 40, 100, WaitKind::Barrier, Dep::Episode(e));
+        for p in 0..3 {
+            c.barrier_arrive(p);
+        }
+        c.wait(0, 10, 100, Wake::Barrier);
+        c.wait(1, 40, 100, Wake::Barrier);
+        c.barrier_release(&[(0, 10), (1, 40), (2, 100)]);
         c.busy(0, 20);
         c.busy(1, 10);
         c.busy(2, 20);

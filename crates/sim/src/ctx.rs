@@ -21,7 +21,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use crate::config::CostModel;
+use crate::config::{CostModel, MachineConfig};
 use crate::engine::Shared;
 use crate::page::Addr;
 use crate::proto::{Action, MemOp, OpKind, Request};
@@ -52,23 +52,14 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        id: usize,
-        nprocs: usize,
-        line_bytes: u64,
-        cost: CostModel,
-        prefetch_enabled: bool,
-        sanitize: bool,
-        shared: Arc<Shared>,
-    ) -> Self {
+    pub(crate) fn new(id: usize, cfg: &MachineConfig, shared: Arc<Shared>) -> Self {
         Ctx {
             id,
-            nprocs,
-            line_bytes,
-            cost,
-            prefetch_enabled,
-            sanitize,
+            nprocs: cfg.nprocs,
+            line_bytes: cfg.cache.line_bytes as u64,
+            cost: cfg.cost,
+            prefetch_enabled: cfg.prefetch_enabled,
+            sanitize: cfg.sanitize.enabled,
             busy: Cell::new(0),
             ops: RefCell::new(Vec::with_capacity(FLUSH_THRESHOLD + 1)),
             san: RefCell::new(Vec::new()),

@@ -23,10 +23,12 @@
 //! The thread that called `Machine::run` only waits for the run to settle
 //! (all finished, or failed), joins, and assembles the [`RunStats`].
 //!
-//! All time charged to a processor flows through the `charge_*` helpers,
-//! which update the per-processor totals, the per-phase accumulators and
-//! (when enabled) the event trace together, so the three views reconcile
-//! by construction.
+//! All time charged to a processor flows through `charge`, `charge_wait`
+//! and `charge_access`, which update the per-processor totals and the per-phase accumulators
+//! together, so the two reconcile by construction. Every passive consumer
+//! (trace, critical path, sanitizer, range profiler, live counters) sits
+//! behind one [`Observers`] value: the helpers and the sync steps report
+//! each charge and each sync step to it exactly once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,20 +38,16 @@ use std::thread::{self, Thread};
 
 use crate::attrib::{word_mask, MissCause, CAUSE_OTHER};
 use crate::config::{BarrierImpl, LockImpl, MachineConfig};
-use crate::critpath::{CritCollector, Dep, WaitKind};
 use crate::error::SimError;
-use crate::live::{LiveDelta, LIVE};
 use crate::memsys::{AccessClass, AccessKind, MemorySystem, Outcome};
+use crate::observe::{Charge, Observers, Wake};
 use crate::page::Addr;
 use crate::prof::{self, Region};
-use crate::profile::Profiler;
 use crate::proto::{Action, EngineGone, MemOp, OpKind, Reply, Request};
-use crate::sanitize::Sanitizer;
 use crate::schedule::Perturber;
 use crate::stats::{PhaseBreakdown, PhaseStats, ProcStats, RunStats};
 use crate::sync::{BarrierState, LockState, SemState};
 use crate::time::Ns;
-use crate::trace::{gauge_totals, InstantKind, SpanKind, TraceBuffer};
 
 /// An atomic fetch&add cell.
 pub(crate) struct FetchCell {
@@ -290,45 +288,27 @@ pub(crate) struct Engine {
     /// Set once: all finished (`Ok`) or the run's error.
     outcome: Option<Result<(), SimError>>,
     log2p: u32,
-    profiler: Profiler,
-    tracer: TraceBuffer,
     /// Interned phase names; id 0 is the implicit `"main"` phase.
     phase_names: Vec<String>,
     /// Per-processor, per-phase time accumulators.
     phase_acc: Vec<Vec<PhaseBreakdown>>,
-    /// Virtual time at which each lock was last acquired (for hold spans).
-    lock_hold_start: Vec<Ns>,
-    /// Happens-before sanitizer, when `cfg.sanitize.enabled` is set.
-    /// Purely observational: it is never consulted for timing.
-    sanitizer: Option<Box<Sanitizer>>,
-    /// Critical-path collector, when `cfg.critpath` is set. Purely
-    /// observational, like the sanitizer: never consulted for timing.
-    critpath: Option<Box<CritCollector>>,
+    /// Every passive consumer of the run; never consulted for timing.
+    obs: Observers,
     /// Seeded schedule perturber, when `cfg.schedule` is set. All its
     /// decisions happen under the engine lock, in deterministic event
     /// order, so a seed replays bit-identically; when `None` every
     /// choice point takes its original code path unchanged.
     sched: Option<Box<Perturber>>,
-    /// Buffered deltas for the process-wide live counters
-    /// ([`crate::live::LIVE`]); write-only from the engine's side.
-    live: LiveDelta,
 }
 
 impl Engine {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: MachineConfig,
         mem: MemorySystem,
         sync: SyncTables,
-        profiler: Profiler,
-        tracer: TraceBuffer,
-        sanitizer: Option<Box<Sanitizer>>,
-        critpath: Option<Box<CritCollector>>,
+        obs: Observers,
     ) -> Self {
-        LIVE.runs_started
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let n = cfg.nprocs;
-        let nlocks = sync.locks.len();
         let sched = cfg.schedule.map(|sc| Box::new(Perturber::new(sc, n)));
         Engine {
             log2p: (n.max(2) as u32).next_power_of_two().trailing_zeros(),
@@ -353,15 +333,10 @@ impl Engine {
             done_count: 0,
             events: 0,
             outcome: None,
-            profiler,
-            tracer,
             phase_names: vec!["main".to_string()],
             phase_acc: (0..n).map(|_| vec![PhaseBreakdown::default()]).collect(),
-            lock_hold_start: vec![0; nlocks],
-            sanitizer,
-            critpath,
+            obs,
             sched,
-            live: LiveDelta::default(),
         }
     }
 
@@ -420,21 +395,13 @@ impl Engine {
                 }
                 // Popped times are nondecreasing, so this drives the
                 // gauge sampling clock forward monotonically.
-                self.sample_gauges(t);
+                let stats = self.procs.iter().map(|r| &r.stats);
+                self.obs.event(t, self.events, &self.mem.contention, stats);
                 {
                     let _sp = prof::span(Region::EngineDispatch);
                     self.process(p);
                 }
                 self.events += 1;
-                if self.live.event() {
-                    {
-                        let _sp = prof::span(Region::LiveFlush);
-                        self.live.flush();
-                    }
-                    // Piggyback the profiler's fold-to-global on the same
-                    // cadence so live observers see mid-run data.
-                    prof::flush_thread();
-                }
             } else if frontier.is_some() {
                 // A running thread will submit and carry on from here.
                 return Ok(false);
@@ -446,44 +413,27 @@ impl Engine {
                     .enumerate()
                     .filter_map(|(i, p)| p.parked_on.map(|r| format!("proc {i} on {r}")))
                     .collect();
-                let mut msg = blocked.join(", ");
-                // A deadlocked run produces no statistics to attach the
-                // sanitize report to; fold its lints (e.g. barrier
-                // divergence) into the error instead.
-                if let Some(san) = self.sanitizer.take() {
-                    let rep = san.finalize(&self.phase_names);
-                    if !rep.lints.is_empty() {
-                        let lints: Vec<String> = rep
-                            .lints
-                            .iter()
-                            .map(|l| format!("{}: {}", l.kind.name(), l.message))
-                            .collect();
-                        msg = format!("{msg}; sanitize: {}", lints.join("; "));
-                    }
-                }
-                return Err(SimError::Deadlock(msg));
+                let note = self.obs.deadlock_note(&self.phase_names);
+                return Err(SimError::Deadlock(blocked.join(", ") + &note));
             }
         }
     }
 
     /// The run's statistics once it has settled, or its error.
     pub(crate) fn into_stats(mut self) -> Result<RunStats, SimError> {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.outcome.take().expect("run has settled")?;
+        let outcome = self.outcome.take().expect("run has settled");
         let wall = self
             .procs
             .iter()
             .map(|p| p.stats.finish_ns)
             .max()
             .unwrap_or(0);
-        self.sample_gauges(wall);
-        self.live.flush();
-        LIVE.sim_ns.fetch_add(wall, Relaxed);
-        LIVE.runs_finished.fetch_add(1, Relaxed);
-        let phase_names = std::mem::take(&mut self.phase_names);
-        let sanitize = self.sanitizer.take().map(|s| s.finalize(&phase_names));
-        let critpath = self.critpath.take().map(|c| c.finalize(wall, &phase_names));
-        let phases: Vec<PhaseStats> = phase_names
+        let stats = self.procs.iter().map(|r| &r.stats);
+        let (events, ok) = (self.events, outcome.is_ok());
+        self.obs.end(wall, events, &self.mem.contention, stats, ok);
+        outcome?;
+        let phases: Vec<PhaseStats> = self
+            .phase_names
             .iter()
             .enumerate()
             .map(|(i, name)| PhaseStats {
@@ -499,18 +449,17 @@ impl Engine {
         if cfg!(debug_assertions) {
             check_conservation(&procs, &self.phase_acc);
         }
-        Ok(RunStats {
+        let mut stats = RunStats {
             wall_ns: wall,
             events: self.events,
             page_migrations: self.mem.page_migrations(),
             resources: self.mem.contention.summary(),
-            ranges: self.profiler.into_profiles(&phase_names),
-            trace: self.tracer.finish(phase_names),
             phases,
             procs,
-            sanitize,
-            critpath,
-        })
+            ..RunStats::default()
+        };
+        self.obs.finish(self.phase_names, &mut stats);
+        Ok(stats)
     }
 
     fn accept(&mut self, p: usize, req: Request) {
@@ -540,64 +489,35 @@ impl Engine {
         (self.phase_names.len() - 1) as u32
     }
 
-    /// The per-phase accumulator for processor `p`'s phase `phase`.
-    fn slice(&mut self, p: usize, phase: u32) -> &mut PhaseBreakdown {
-        let v = &mut self.phase_acc[p];
-        let i = phase as usize;
-        if v.len() <= i {
-            v.resize(i + 1, PhaseBreakdown::default());
-        }
-        &mut v[i]
-    }
-
-    /// Charges `ns` of computation to `p`, advancing its clock.
-    fn charge_busy(&mut self, p: usize, ns: Ns) {
+    /// Charges `ns` of `what` to `p` from its clock, advancing it.
+    fn charge(&mut self, p: usize, what: Charge, ns: Ns) {
         if ns == 0 {
             return;
         }
         let rt = &mut self.procs[p];
         let (t0, ph) = (rt.clock, rt.phase);
-        rt.stats.busy_ns += ns;
         rt.clock += ns;
-        self.slice(p, ph).busy_ns += ns;
-        self.tracer.span(p, ph, SpanKind::Busy, t0, ns);
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.busy(p, ns);
-        }
+        let s = slice(&mut self.phase_acc[p], ph);
+        let (total, part) = match what {
+            Charge::Busy => (&mut rt.stats.busy_ns, &mut s.busy_ns),
+            Charge::SyncOp => (&mut rt.stats.sync_op_ns, &mut s.sync_op_ns),
+            Charge::Wait(_) => (&mut rt.stats.sync_wait_ns, &mut s.sync_wait_ns),
+        };
+        *total += ns;
+        *part += ns;
+        self.obs.charge(p, ph, t0, ns, what);
     }
 
-    /// Charges `ns` of synchronization-operation overhead to `p`,
+    /// Charges `p`'s wait at a sync object from its `arrived` time, where
+    /// its clock stopped when it parked, until `until`.
+    fn charge_wait(&mut self, p: usize, arrived: Ns, until: Ns, wake: Wake) {
+        debug_assert_eq!(self.procs[p].clock, arrived, "proc {p} moved while parked");
+        self.charge(p, Charge::Wait(wake), until - arrived);
+    }
+
+    /// Charges `p`'s serviced `kind` access to the line at `addr`,
     /// advancing its clock.
-    fn charge_sync_op(&mut self, p: usize, ns: Ns) {
-        if ns == 0 {
-            return;
-        }
-        let rt = &mut self.procs[p];
-        let (t0, ph) = (rt.clock, rt.phase);
-        rt.stats.sync_op_ns += ns;
-        rt.clock += ns;
-        self.slice(p, ph).sync_op_ns += ns;
-        self.tracer.span(p, ph, SpanKind::SyncOp, t0, ns);
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.sync_op(p, ns);
-        }
-    }
-
-    /// Charges the wait interval `[from, until]` to `p` (the caller moves
-    /// the clock to the grant time itself).
-    fn charge_sync_wait(&mut self, p: usize, from: Ns, until: Ns) {
-        let ns = until.saturating_sub(from);
-        if ns == 0 {
-            return;
-        }
-        let ph = self.procs[p].phase;
-        self.procs[p].stats.sync_wait_ns += ns;
-        self.slice(p, ph).sync_wait_ns += ns;
-        self.tracer.span(p, ph, SpanKind::SyncWait, from, ns);
-    }
-
-    /// Charges one serviced memory access to `p`, advancing its clock.
-    fn charge_access(&mut self, p: usize, kind: AccessKind, o: &Outcome) {
+    fn charge_access(&mut self, p: usize, addr: Addr, kind: AccessKind, o: &Outcome) {
         let rt = &mut self.procs[p];
         let stats = &mut rt.stats;
         match kind {
@@ -644,20 +564,9 @@ impl Engine {
             None => CAUSE_OTHER,
         };
         stats.mem_cause_ns[cause_slot] += o.latency;
-        self.live.access(
-            o.class == AccessClass::Hit,
-            matches!(
-                o.class,
-                AccessClass::LocalMiss | AccessClass::RemoteClean | AccessClass::RemoteDirty
-            ),
-            o.miss_cause.map(|_| cause_slot),
-            o.latency,
-            &o.breakdown,
-        );
-        let rt = &mut self.procs[p];
         let (t0, ph) = (rt.clock, rt.phase);
         rt.clock += o.latency;
-        let s = self.slice(p, ph);
+        let s = slice(&mut self.phase_acc[p], ph);
         s.mem_ns += o.latency;
         if o.home_local {
             s.mem_local_ns += o.latency;
@@ -666,41 +575,12 @@ impl Engine {
         }
         s.mem_breakdown.add(&o.breakdown);
         s.mem_cause_ns[cause_slot] += o.latency;
-        if self.tracer.enabled() {
-            let k = if o.home_local {
-                SpanKind::MemLocal
-            } else {
-                SpanKind::MemRemote
-            };
-            self.tracer.span(p, ph, k, t0, o.latency);
-            if o.migrated {
-                self.tracer.instant(p, t0, InstantKind::PageMigration, 0);
-            }
-            if o.invals >= 2 {
-                self.tracer
-                    .instant(p, t0, InstantKind::InvalBurst, o.invals);
-            }
-            if o.late_prefetch {
-                self.tracer.instant(p, t0, InstantKind::LatePrefetch, 0);
-            }
-        }
-        if let Some(cp) = self.critpath.as_deref_mut() {
-            cp.mem(p, o.home_local, cause_slot, o.latency, &o.breakdown);
-        }
+        self.obs.access(p, ph, t0, addr, kind, o);
     }
 
     fn apply_ops(&mut self, p: usize, busy: Ns, ops: &[MemOp], san: &[MemOp]) {
-        self.charge_busy(p, busy);
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            let _sp = prof::span(Region::Sanitize);
-            for op in san {
-                match op.kind {
-                    OpKind::Read => s.read(p, op.addr, op.bytes),
-                    OpKind::Write => s.write(p, op.addr, op.bytes),
-                    OpKind::Prefetch => {}
-                }
-            }
-        }
+        self.charge(p, Charge::Busy, busy);
+        self.obs.ops(p, san);
         if ops.is_empty() {
             return;
         }
@@ -728,17 +608,12 @@ impl Engine {
                         let o = self
                             .mem
                             .access_masked(p, addr, kind, self.procs[p].clock, mask);
-                        if !self.profiler.is_empty() {
-                            let _sp = prof::span(Region::Attrib);
-                            self.profiler
-                                .attribute(p, addr, kind, &o, self.procs[p].phase);
-                        }
-                        self.charge_access(p, kind, &o);
+                        self.charge_access(p, addr, kind, &o);
                     }
                     OpKind::Prefetch => {
                         let (issue, _fill) = self.mem.prefetch(p, addr, self.procs[p].clock);
                         self.procs[p].stats.prefetches += 1;
-                        self.charge_busy(p, issue);
+                        self.charge(p, Charge::Busy, issue);
                     }
                 }
             }
@@ -750,28 +625,6 @@ impl Engine {
         match self.cfg.lock_impl {
             LockImpl::TicketLlsc => self.mem.llsc_rmw(p, addr, now).latency,
             LockImpl::TicketFetchOp => self.mem.fetchop(p, addr, now),
-        }
-    }
-
-    /// Samples the machine-wide gauges if a sampling epoch has elapsed.
-    fn sample_gauges(&mut self, now: Ns) {
-        if let Some(t) = self.tracer.gauge_due(now) {
-            let _sp = prof::span(Region::Trace);
-            let (mut acc, mut miss, mut stall) = (0u64, 0u64, 0);
-            let (mut coh, mut false_share, mut queue) = (0u64, 0u64, 0);
-            for p in &self.procs {
-                acc += p.stats.accesses();
-                miss += p.stats.misses();
-                stall += p.stats.mem_ns;
-                coh += p.stats.misses_coherence;
-                false_share += p.stats.misses_false_share;
-                queue += p.stats.mem_breakdown.queue_total();
-            }
-            let mut totals = gauge_totals(acc, miss, stall, &self.mem.contention.summary());
-            totals.coherence_misses = coh;
-            totals.false_share_misses = false_share;
-            totals.queue_wait_ns = queue;
-            self.tracer.push_gauge(t, totals);
         }
     }
 
@@ -794,13 +647,7 @@ impl Engine {
             Action::Phase(name) => {
                 let id = self.intern_phase(&name);
                 self.procs[p].phase = id;
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.set_phase(p, id);
-                }
-                let clk = self.procs[p].clock;
-                if let Some(cp) = self.critpath.as_deref_mut() {
-                    cp.set_phase(p, id, clk);
-                }
+                self.obs.phase(p, id, self.procs[p].clock);
                 self.reply(p, 0);
             }
             Action::Finish => {
@@ -815,23 +662,17 @@ impl Engine {
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
                 self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+                self.charge(p, Charge::SyncOp, cost);
                 let t = self.procs[p].clock;
                 if self.sync.locks[id].acquire_or_enqueue(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.lock_acquire(p, id);
-                    }
                     self.procs[p].stats.lock_acquires += 1;
-                    self.lock_hold_start[id] = t;
+                    self.obs.lock_acquire(p, id, t);
                     self.reply(p, 0);
                 } else {
                     self.procs[p].parked_on = Some(Blocked::Lock(id));
                 }
             }
             Action::Unlock(id) => {
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.lock_release(p, id);
-                }
                 let addr = self.sync.locks[id].addr;
                 let now = self.procs[p].clock;
                 // Releasing writes the lock word; usually a cache hit for
@@ -842,20 +683,9 @@ impl Engine {
                     }
                     LockImpl::TicketFetchOp => self.mem.fetchop(p, addr, now),
                 };
-                self.charge_sync_op(p, cost);
+                self.charge(p, Charge::SyncOp, cost);
                 let release_t = self.procs[p].clock;
-                if self.tracer.enabled() {
-                    let held_from = self.lock_hold_start[id];
-                    let (track, ph) = (p, self.procs[p].phase);
-                    self.tracer.span_obj(
-                        track,
-                        ph,
-                        SpanKind::LockHold,
-                        held_from,
-                        release_t.saturating_sub(held_from),
-                        id as u32,
-                    );
-                }
+                self.obs.lock_release(p, id, self.procs[p].phase, release_t);
                 // Grant order is the perturber's lock choice point: with a
                 // schedule set and several waiters queued, a seeded pick
                 // replaces the FIFO (ticket-order) handoff.
@@ -870,33 +700,18 @@ impl Engine {
                     // The release can complete before the waiter's acquire
                     // attempt has (they overlap in virtual time); the grant
                     // happens at whichever is later.
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.lock_acquire(w, id);
-                    }
                     let grant_t = release_t.max(arrived);
-                    if grant_t > arrived {
-                        // The waiter was delayed by this release: record the
-                        // release→acquire dependency edge.
-                        if let Some(cp) = self.critpath.as_deref_mut() {
-                            let rel = cp.boundary(p, release_t);
-                            cp.wait(w, arrived, grant_t, WaitKind::Lock, Dep::One(p, rel));
-                        }
-                    }
                     // Hand off: the new holder pulls the lock line over.
                     let handoff = self.rmw_cost(w, addr, grant_t);
-                    self.charge_sync_wait(w, arrived, grant_t);
-                    self.procs[w].clock = grant_t;
+                    self.charge_wait(w, arrived, grant_t, Wake::Lock(p));
                     self.procs[w].stats.lock_acquires += 1;
-                    self.charge_sync_op(w, handoff);
-                    self.lock_hold_start[id] = grant_t;
+                    self.charge(w, Charge::SyncOp, handoff);
+                    self.obs.lock_acquire(w, id, grant_t);
                     self.reply(w, 0);
                 }
                 self.reply(p, 0);
             }
             Action::Barrier(id) => {
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.barrier_arrive(p, id);
-                }
                 let addr = self.sync.barriers[id].addr;
                 let now = self.procs[p].clock;
                 let arrive_cost = match self.cfg.barrier_impl {
@@ -909,14 +724,11 @@ impl Engine {
                     BarrierImpl::CentralLlsc => self.mem.llsc_rmw(p, addr, now).latency,
                     BarrierImpl::CentralFetchOp => self.mem.fetchop(p, addr, now),
                 };
-                self.charge_sync_op(p, arrive_cost);
+                self.charge(p, Charge::SyncOp, arrive_cost);
+                self.obs.barrier_arrive(p, id);
                 let t = self.procs[p].clock;
                 if let Some(mut arrivals) = self.sync.barriers[id].arrive(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.barrier_complete(id);
-                    }
                     let release_t = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t);
-                    let first_t = arrivals.iter().map(|&(_, a)| a).min().unwrap_or(t);
                     arrivals.sort_unstable();
                     // The wake sweep below serializes the woken processors'
                     // wake-up accesses through the memory system, so its
@@ -924,22 +736,7 @@ impl Engine {
                     if let Some(sched) = self.sched.as_deref_mut() {
                         sched.shuffle(&mut arrivals);
                     }
-                    if let Some(cp) = self.critpath.as_deref_mut() {
-                        // One episode over *all* arrivals (the what-if
-                        // replay re-evaluates which is latest), then a wait
-                        // edge for every processor the release delayed.
-                        let deps: Vec<(usize, u32, Ns)> = arrivals
-                            .iter()
-                            .map(|&(w, a)| (w, cp.boundary(w, a), a))
-                            .collect();
-                        let e = cp.add_episode(deps);
-                        for &(w, arrived) in &arrivals {
-                            if release_t > arrived {
-                                cp.wait(w, arrived, release_t, WaitKind::Barrier, Dep::Episode(e));
-                            }
-                        }
-                    }
-                    for (w, arrived) in arrivals {
+                    for &(w, arrived) in &arrivals {
                         let wake_cost = match self.cfg.barrier_impl {
                             BarrierImpl::TournamentLlsc => {
                                 Ns::from(self.log2p) * self.cfg.latency.link_ns
@@ -951,38 +748,23 @@ impl Engine {
                             }
                             BarrierImpl::CentralFetchOp => self.mem.fetchop(w, addr, release_t),
                         };
-                        self.charge_sync_wait(w, arrived, release_t);
-                        self.procs[w].clock = release_t;
+                        self.charge_wait(w, arrived, release_t, Wake::Barrier);
                         self.procs[w].stats.barriers += 1;
-                        self.charge_sync_op(w, wake_cost);
+                        self.charge(w, Charge::SyncOp, wake_cost);
                         self.reply(w, 0);
                     }
-                    if self.tracer.enabled() {
-                        // One whole-machine episode span: first arrival to
-                        // release, on the synthetic machine track.
-                        let machine_track = self.procs.len();
-                        self.tracer.span_obj(
-                            machine_track,
-                            0,
-                            SpanKind::Barrier,
-                            first_t,
-                            release_t.saturating_sub(first_t),
-                            id as u32,
-                        );
-                    }
+                    self.obs.barrier_release(id, &arrivals);
                 } else {
                     self.procs[p].parked_on = Some(Blocked::Barrier(id));
                 }
             }
             Action::FetchAdd { id, delta } => {
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.fetch_add(p, id);
-                }
+                self.obs.fetch_add(p, id);
                 let addr = self.sync.cells[id].addr;
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
                 self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+                self.charge(p, Charge::SyncOp, cost);
                 let prev = self.sync.cells[id].value;
                 self.sync.cells[id].value += delta;
                 self.reply(p, prev);
@@ -992,63 +774,49 @@ impl Engine {
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
                 self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+                self.charge(p, Charge::SyncOp, cost);
                 let t = self.procs[p].clock;
                 if self.sync.sems[id].wait_or_enqueue(p, t) {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.sem_acquire(p, id);
-                    }
+                    self.obs.sem_grant(p, id);
                     self.reply(p, 0);
                 } else {
                     self.procs[p].parked_on = Some(Blocked::Sem(id));
                 }
             }
             Action::SemPost { id, n } => {
-                if let Some(s) = self.sanitizer.as_deref_mut() {
-                    s.sem_post(p, id);
-                }
+                self.obs.sem_post(p, id);
                 let addr = self.sync.sems[id].addr;
                 let now = self.procs[p].clock;
                 let cost = self.rmw_cost(p, addr, now);
                 self.procs[p].stats.atomics += 1;
-                self.charge_sync_op(p, cost);
+                self.charge(p, Charge::SyncOp, cost);
                 let t = self.procs[p].clock;
-                let mut post_boundary = None;
                 // Wake order is the perturber's semaphore choice point.
                 let woken = match self.sched.as_deref_mut() {
                     Some(sched) => self.sync.sems[id].post_with(n, |q| sched.pick_waiter(q)),
                     None => self.sync.sems[id].post(n),
                 };
                 for (w, arrived) in woken {
-                    if let Some(s) = self.sanitizer.as_deref_mut() {
-                        s.sem_acquire(w, id);
-                    }
                     let grant_t = t.max(arrived);
-                    if grant_t > arrived {
-                        // This post unblocked `w`: record the post→wait
-                        // dependency edge (one boundary per post).
-                        if let Some(cp) = self.critpath.as_deref_mut() {
-                            let rel = match post_boundary {
-                                Some(r) => r,
-                                None => {
-                                    let r = cp.boundary(p, t);
-                                    post_boundary = Some(r);
-                                    r
-                                }
-                            };
-                            cp.wait(w, arrived, grant_t, WaitKind::Sem, Dep::One(p, rel));
-                        }
-                    }
                     let wake = self.mem.access(w, addr, AccessKind::Read, grant_t).latency;
-                    self.charge_sync_wait(w, arrived, grant_t);
-                    self.procs[w].clock = grant_t;
-                    self.charge_sync_op(w, wake);
+                    self.charge_wait(w, arrived, grant_t, Wake::Sem(p));
+                    self.charge(w, Charge::SyncOp, wake);
+                    self.obs.sem_grant(w, id);
                     self.reply(w, 0);
                 }
                 self.reply(p, 0);
             }
         }
     }
+}
+
+/// Processor accumulators `v`'s slice for phase `ph`, grown on first use.
+fn slice(v: &mut Vec<PhaseBreakdown>, ph: u32) -> &mut PhaseBreakdown {
+    let i = ph as usize;
+    if v.len() <= i {
+        v.resize(i + 1, PhaseBreakdown::default());
+    }
+    &mut v[i]
 }
 
 /// Conservation at stats assembly: every processor's time splits exactly

@@ -79,6 +79,14 @@ impl From<ConfigError> for SimError {
     }
 }
 
+/// The text of a caught panic's payload.
+pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

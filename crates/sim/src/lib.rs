@@ -120,6 +120,7 @@ pub mod topology;
 pub mod trace;
 
 mod engine;
+mod observe;
 mod proto;
 
 /// The types most applications need, in one import.

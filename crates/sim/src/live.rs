@@ -9,17 +9,17 @@
 //! differentiates them into rates: simulated-events/sec, misses/sec,
 //! per-class occupancy and queue depth.
 //!
-//! The counters are **observer-passive by construction**: the engine only
-//! ever *writes* them (relaxed, batched through `LiveDelta` so the hot
-//! path pays one branch per event and a handful of atomic adds every
-//! `FLUSH_EVERY` events), and no simulation decision ever reads them
+//! The counters are **observer-passive by construction**: a run only
+//! ever *writes* them, adding the growth of its own per-processor
+//! statistics every `FLUSH_EVERY` events and at its end (relaxed atomics;
+//! see `crate::observe`), and no simulation decision ever reads them
 //! back. Enabling or disabling an observer therefore cannot change a
 //! single simulated nanosecond — the bit-identical pin lives in
 //! `crates/bench/tests/telemetry_live.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::attrib::LatencyBreakdown;
+use crate::stats::ProcStats;
 
 /// Number of classified miss-cause slots mirrored live (matches
 /// [`MissCause::index`](crate::attrib::MissCause::index)).
@@ -121,106 +121,66 @@ pub static LIVE: LiveCounters = LiveCounters {
     accesses: AtomicU64::new(0),
     hits: AtomicU64::new(0),
     misses: AtomicU64::new(0),
-    miss_causes: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    service_ns: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    queue_ns: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
+    miss_causes: [const { AtomicU64::new(0) }; LIVE_CAUSES],
+    service_ns: [const { AtomicU64::new(0) }; LIVE_CLASSES],
+    queue_ns: [const { AtomicU64::new(0) }; LIVE_CLASSES],
     mem_stall_ns: AtomicU64::new(0),
     sim_ns: AtomicU64::new(0),
 };
 
-/// How many engine events a [`LiveDelta`] buffers before flushing to the
-/// global atomics.
+/// How many engine events pass between two folds of a run's counters
+/// into [`LIVE`].
 pub(crate) const FLUSH_EVERY: u64 = 4096;
 
-/// Engine-local accumulation buffer: plain integers on the engine's own
-/// cache lines, flushed to [`LIVE`] every [`FLUSH_EVERY`] events and at
-/// run end, so the event-loop hot path stays free of atomic traffic.
-#[derive(Debug, Default)]
-pub(crate) struct LiveDelta {
-    events: u64,
-    accesses: u64,
-    hits: u64,
-    misses: u64,
-    miss_causes: [u64; LIVE_CAUSES],
-    service_ns: [u64; LIVE_CLASSES],
-    queue_ns: [u64; LIVE_CLASSES],
-    mem_stall_ns: u64,
-    events_since_flush: u64,
+impl LiveSnapshot {
+    /// The sums over `procs` of the per-processor counters mirrored
+    /// live, with the engine's `events`; the run counters and `sim_ns`
+    /// stay zero.
+    pub(crate) fn of<'a>(events: u64, procs: impl Iterator<Item = &'a ProcStats>) -> Self {
+        let mut s = LiveSnapshot {
+            events,
+            ..LiveSnapshot::default()
+        };
+        for p in procs {
+            s.accesses += p.accesses();
+            s.hits += p.hits;
+            s.misses += p.misses();
+            for (c, n) in s.miss_causes.iter_mut().zip(p.cause_counts()) {
+                *c += n;
+            }
+            for i in 0..LIVE_CLASSES {
+                s.service_ns[i] += p.mem_breakdown.service[i];
+                s.queue_ns[i] += p.mem_breakdown.queue[i];
+            }
+            s.mem_stall_ns += p.mem_ns;
+        }
+        s
+    }
 }
 
-impl LiveDelta {
-    /// Counts one processed engine event; returns true when the buffer is
-    /// due for a [`flush`](LiveDelta::flush).
-    #[inline]
-    pub(crate) fn event(&mut self) -> bool {
-        self.events += 1;
-        self.events_since_flush += 1;
-        self.events_since_flush >= FLUSH_EVERY
-    }
-
-    /// Counts one serviced access with its latency breakdown.
-    #[inline]
-    pub(crate) fn access(
-        &mut self,
-        hit: bool,
-        miss: bool,
-        cause_slot: Option<usize>,
-        latency: u64,
-        breakdown: &LatencyBreakdown,
-    ) {
-        self.accesses += 1;
-        self.hits += u64::from(hit);
-        self.misses += u64::from(miss);
-        if let Some(slot) = cause_slot {
-            if slot < LIVE_CAUSES {
-                self.miss_causes[slot] += 1;
-            }
-        }
-        self.mem_stall_ns += latency;
-        for i in 0..LIVE_CLASSES {
-            self.service_ns[i] += breakdown.service[i];
-            self.queue_ns[i] += breakdown.queue[i];
-        }
-    }
-
-    /// Adds everything buffered to the global counters and resets the
-    /// buffer.
-    pub(crate) fn flush(&mut self) {
-        let add = |a: &AtomicU64, v: &mut u64| {
-            if *v != 0 {
-                a.fetch_add(*v, Ordering::Relaxed);
-                *v = 0;
+impl LiveCounters {
+    /// Adds what `now` grew by since `last` (both from
+    /// [`LiveSnapshot::of`] over one run), then makes `now` the new
+    /// `last`.
+    pub(crate) fn advance(&self, last: &mut LiveSnapshot, now: LiveSnapshot) {
+        let add = |a: &AtomicU64, new: u64, old: u64| {
+            if new != old {
+                a.fetch_add(new - old, Ordering::Relaxed);
             }
         };
-        add(&LIVE.events, &mut self.events);
-        add(&LIVE.accesses, &mut self.accesses);
-        add(&LIVE.hits, &mut self.hits);
-        add(&LIVE.misses, &mut self.misses);
-        for i in 0..LIVE_CAUSES {
-            add(&LIVE.miss_causes[i], &mut self.miss_causes[i]);
+        add(&self.events, now.events, last.events);
+        add(&self.accesses, now.accesses, last.accesses);
+        add(&self.hits, now.hits, last.hits);
+        add(&self.misses, now.misses, last.misses);
+        for (i, a) in self.miss_causes.iter().enumerate() {
+            add(a, now.miss_causes[i], last.miss_causes[i]);
         }
         for i in 0..LIVE_CLASSES {
-            add(&LIVE.service_ns[i], &mut self.service_ns[i]);
-            add(&LIVE.queue_ns[i], &mut self.queue_ns[i]);
+            add(&self.service_ns[i], now.service_ns[i], last.service_ns[i]);
+            add(&self.queue_ns[i], now.queue_ns[i], last.queue_ns[i]);
         }
-        add(&LIVE.mem_stall_ns, &mut self.mem_stall_ns);
-        self.events_since_flush = 0;
+        add(&self.mem_stall_ns, now.mem_stall_ns, last.mem_stall_ns);
+        *last = now;
     }
 }
 
@@ -230,41 +190,38 @@ mod tests {
 
     #[test]
     fn delta_buffers_then_flushes_exactly() {
-        let before = LIVE.snapshot();
-        let mut d = LiveDelta::default();
-        let mut due = false;
-        for _ in 0..10 {
-            due |= d.event();
-        }
-        assert!(!due, "10 events must not hit the {FLUSH_EVERY} threshold");
-        let bd = LatencyBreakdown {
-            service: [5, 6, 7, 8],
-            queue: [1, 2, 3, 4],
-            other_ns: 9,
+        let live = LiveCounters::default();
+        let mut a = ProcStats {
+            reads: 3,
+            writes: 1,
+            hits: 2,
+            misses_local: 1,
+            misses_remote_dirty: 1,
+            misses_coherence: 1,
+            misses_false_share: 1,
+            mem_ns: 45,
+            ..ProcStats::default()
         };
-        d.access(false, true, Some(3), 45, &bd);
-        d.access(true, false, None, 0, &LatencyBreakdown::default());
-        d.flush();
-        let after = LIVE.snapshot();
-        assert_eq!(after.events - before.events, 10);
-        assert_eq!(after.accesses - before.accesses, 2);
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
-        assert_eq!(after.miss_causes[3] - before.miss_causes[3], 1);
-        assert_eq!(after.service_ns[2] - before.service_ns[2], 7);
-        assert_eq!(after.queue_ns[3] - before.queue_ns[3], 4);
-        assert_eq!(after.mem_stall_ns - before.mem_stall_ns, 45);
-    }
-
-    #[test]
-    fn event_reports_due_at_threshold() {
-        let mut d = LiveDelta::default();
-        for i in 1..=FLUSH_EVERY {
-            let due = d.event();
-            assert_eq!(due, i == FLUSH_EVERY, "event {i}");
-        }
-        d.flush();
-        // After a flush the threshold counter restarts.
-        assert!(!d.event());
+        a.mem_breakdown.service = [5, 6, 7, 8];
+        a.mem_breakdown.queue = [1, 2, 3, 4];
+        let b = ProcStats {
+            writes: 1,
+            hits: 1,
+            ..ProcStats::default()
+        };
+        let mut last = LiveSnapshot::default();
+        live.advance(&mut last, LiveSnapshot::of(10, [&a, &b].into_iter()));
+        let s = live.snapshot();
+        assert_eq!((s.events, s.accesses, s.hits, s.misses), (10, 5, 3, 2));
+        assert_eq!(s.miss_causes, [0, 0, 0, 0, 1]);
+        assert_eq!((s.service_ns[2], s.queue_ns[3], s.mem_stall_ns), (7, 4, 45));
+        // A second fold adds only the growth since the first.
+        a.reads += 1;
+        live.advance(&mut last, LiveSnapshot::of(12, [&a, &b].into_iter()));
+        let s = live.snapshot();
+        assert_eq!(
+            (s.events, s.accesses, s.hits, s.mem_stall_ns),
+            (12, 6, 3, 45)
+        );
     }
 }

@@ -41,8 +41,9 @@ use std::sync::{Arc, Once};
 use crate::config::MachineConfig;
 use crate::ctx::Ctx;
 use crate::engine::{Engine, FetchCell, Shared, SyncTables};
-use crate::error::SimError;
+use crate::error::{panic_message, SimError};
 use crate::memsys::MemorySystem;
+use crate::observe::Observers;
 use crate::page::Addr;
 use crate::shared::{SharedVec, SimValue};
 use crate::stats::RunStats;
@@ -289,57 +290,13 @@ impl Machine {
                 .collect(),
         };
 
-        let mut profiler = crate::profile::Profiler::default();
-        for (name, base, bytes) in &self.labels {
-            profiler.register(name, *base, *bytes);
-        }
-        let tracer = crate::trace::TraceBuffer::new(
-            cfg.trace.clone(),
-            cfg.nprocs,
-            [
-                mem.contention.hubs.len(),
-                mem.contention.mems.len(),
-                mem.contention.routers.len(),
-            ],
-        );
-        let sanitizer = if cfg.sanitize.enabled {
-            let mut s = crate::sanitize::Sanitizer::new(
-                cfg.nprocs,
-                cfg.sanitize.granularity,
-                cfg.cache.line_bytes as u64,
-            );
-            for (i, &(addr, _)) in self.cells.iter().enumerate() {
-                s.register_fetch_cell(i, addr);
-            }
-            Some(Box::new(s))
-        } else {
-            None
-        };
-        let critpath = cfg
-            .critpath
-            .then(|| Box::new(crate::critpath::CritCollector::new(cfg.nprocs)));
+        let obs = Observers::new(&cfg, self.locks.len(), &self.cells, &self.labels);
         let profile = cfg.profile;
-        let shared = Arc::new(Shared::new(Engine::new(
-            cfg.clone(),
-            mem,
-            sync,
-            profiler,
-            tracer,
-            sanitizer,
-            critpath,
-        )));
+        let shared = Arc::new(Shared::new(Engine::new(cfg.clone(), mem, sync, obs)));
         let body = Arc::new(body);
         let mut handles = Vec::with_capacity(cfg.nprocs);
         for p in 0..cfg.nprocs {
-            let ctx = Ctx::new(
-                p,
-                cfg.nprocs,
-                cfg.cache.line_bytes as u64,
-                cfg.cost,
-                cfg.prefetch_enabled,
-                cfg.sanitize.enabled,
-                Arc::clone(&shared),
-            );
+            let ctx = Ctx::new(p, &cfg, Arc::clone(&shared));
             let body = Arc::clone(&body);
             let handle = std::thread::Builder::new()
                 .name(format!("sim-proc-{p}"))
@@ -358,12 +315,7 @@ impl Machine {
                             // Engine aborted; exit silently.
                             return;
                         }
-                        let msg = e
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| e.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "unknown panic".into());
-                        ctx.report_panic(format!("proc {p}: {msg}"));
+                        ctx.report_panic(format!("proc {p}: {}", panic_message(e)));
                     }
                 })
                 .expect("spawn simulated processor thread");

@@ -73,7 +73,7 @@ pub enum Region {
     Attrib = 4,
     /// Happens-before sanitizer shadow-memory updates.
     Sanitize = 5,
-    /// Flushing buffered deltas into the process-wide live counters.
+    /// Folding a run's counter growth into the process-wide live counters.
     LiveFlush = 6,
 }
 

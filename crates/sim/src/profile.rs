@@ -227,28 +227,19 @@ impl Profiler {
         } else {
             None
         };
-        match idx {
-            Some(idx) => charge(
-                &mut self.profiles[idx],
-                &mut self.phase_stalls[idx],
-                &mut self.sharing[idx],
-                proc,
-                addr,
-                kind,
-                outcome,
-                phase,
+        let (prof, stalls, sharing) = match idx {
+            Some(i) => (
+                &mut self.profiles[i],
+                &mut self.phase_stalls[i],
+                &mut self.sharing[i],
             ),
-            None => charge(
+            None => (
                 &mut self.unattributed,
                 &mut self.un_phase,
                 &mut self.un_sharing,
-                proc,
-                addr,
-                kind,
-                outcome,
-                phase,
             ),
-        }
+        };
+        charge(prof, stalls, sharing, proc, addr, kind, outcome, phase);
     }
 
     /// Consumes the profiler, returning the per-label statistics in

@@ -652,8 +652,7 @@ impl Sanitizer {
 
     /// Lints that can only be judged once the run is over (or has
     /// deadlocked): currently barrier divergence. Folded into
-    /// [`Sanitizer::finalize`]; exposed for the engine's deadlock path,
-    /// which has no statistics to attach a report to.
+    /// [`Sanitizer::finalize`], which a deadlocked run calls too.
     fn end_of_run_lints(&mut self) {
         for b in 0..self.barrier_arrived.len() {
             let arrived = self.barrier_arrived[b].clone();

@@ -220,7 +220,7 @@ impl PhaseStats {
 /// same configuration are expected to compare equal bit-for-bit (see the
 /// determinism note in the crate docs); the sweep engine's replay audit
 /// relies on this.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Per-processor statistics, indexed by process id.
     pub procs: Vec<ProcStats>,

@@ -14,14 +14,17 @@
 //! doubled and adjacent samples are averaged pairwise. Merging preserves
 //! the per-(processor, kind, phase) duration totals *exactly* — only the
 //! visual resolution degrades — so an exported trace always reconciles
-//! with [`ProcStats`](crate::stats::ProcStats).
+//! with [`ProcStats`].
 //!
 //! The result is a [`Trace`], exportable as Chrome trace-event JSON
 //! (loadable in Perfetto or `chrome://tracing`).
 
 use crate::chrome::{us, ChromeDoc};
-use crate::contend::ResourceTotals;
+use crate::contend::Contention;
 use crate::json::quote;
+use crate::live::LiveSnapshot;
+use crate::prof::{self, Region};
+use crate::stats::ProcStats;
 use crate::time::Ns;
 
 /// Tracing knobs, carried on [`MachineConfig`](crate::config::MachineConfig).
@@ -89,7 +92,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Coarse category used for reconciliation against
-    /// [`ProcStats`](crate::stats::ProcStats): `busy`, `mem` or `sync`.
+    /// [`ProcStats`]: `busy`, `mem` or `sync`.
     /// Lock-hold and barrier-episode spans are annotations, not time
     /// charges, and report `overlay`.
     pub fn category(self) -> &'static str {
@@ -196,23 +199,6 @@ pub struct GaugeSample {
     pub queue_pct: f64,
 }
 
-/// Cumulative machine counters handed to the buffer at each sample point;
-/// the buffer differentiates them into per-interval rates.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct GaugeTotals {
-    pub accesses: u64,
-    pub misses: u64,
-    pub mem_stall_ns: Ns,
-    /// Cumulative busy ns of hubs, memories, routers.
-    pub busy_ns: [Ns; 3],
-    /// Cumulative coherence misses (zero unless classification is on).
-    pub coherence_misses: u64,
-    /// Cumulative false-sharing misses (ditto).
-    pub false_share_misses: u64,
-    /// Cumulative queueing delay inside the memory stall.
-    pub queue_wait_ns: Ns,
-}
-
 const DEFAULT_EPOCH_NS: Ns = 4096;
 /// Initial merge gap once compaction starts (then grows 4× per pass).
 const FIRST_MERGE_GAP: Ns = 1024;
@@ -233,13 +219,14 @@ pub(crate) struct TraceBuffer {
     epoch: Ns,
     next_sample: Ns,
     last_t: Ns,
-    last: GaugeTotals,
-    /// Instance counts of hubs, memories, routers (occupancy denominators).
-    counts: [u64; 3],
+    /// The machine sums at the last sample, which the next differentiates.
+    last: LiveSnapshot,
+    /// Cumulative busy ns of hubs, memories, routers at the last sample.
+    last_busy: [Ns; 3],
 }
 
 impl TraceBuffer {
-    pub(crate) fn new(cfg: TraceConfig, nprocs: usize, counts: [usize; 3]) -> Self {
+    pub(crate) fn new(cfg: TraceConfig, nprocs: usize) -> Self {
         let tracks = if cfg.enabled { nprocs + 1 } else { 0 };
         let epoch = if cfg.gauge_epoch_ns == 0 {
             DEFAULT_EPOCH_NS
@@ -258,8 +245,8 @@ impl TraceBuffer {
             epoch,
             next_sample: epoch,
             last_t: 0,
-            last: GaugeTotals::default(),
-            counts: [counts[0] as u64, counts[1] as u64, counts[2] as u64],
+            last: LiveSnapshot::default(),
+            last_busy: [0; 3],
             cfg,
         }
     }
@@ -273,6 +260,17 @@ impl TraceBuffer {
     /// index `nprocs`). Zero-duration intervals are dropped.
     pub(crate) fn span(&mut self, track: usize, phase: u32, kind: SpanKind, start: Ns, dur: Ns) {
         self.span_obj(track, phase, kind, start, dur, 0);
+    }
+
+    /// Records barrier `id`'s episode, from the first of its `(processor,
+    /// arrival time)` `arrivals` to the last (the release), as one span on
+    /// the synthetic machine track (phase 0) after the processors'.
+    pub(crate) fn barrier(&mut self, id: usize, arrivals: &[(usize, Ns)]) {
+        if let Some(track) = self.open.len().checked_sub(1) {
+            let t0 = arrivals.iter().map(|&(_, a)| a).min().unwrap_or(0);
+            let t1 = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(0);
+            self.span_obj(track, 0, SpanKind::Barrier, t0, t1 - t0, id as u32);
+        }
     }
 
     pub(crate) fn span_obj(
@@ -377,64 +375,58 @@ impl TraceBuffer {
         }
     }
 
-    /// Returns the gauge sample point due at or before `now`, if any.
-    /// The engine calls this with the (nondecreasing) virtual time of each
-    /// processed event and gathers [`GaugeTotals`] only when a sample is due.
-    pub(crate) fn gauge_due(&self, now: Ns) -> Option<Ns> {
+    /// Samples the machine-wide gauges once an epoch has elapsed. Called
+    /// with the (nondecreasing) virtual time of each engine event, it
+    /// sums `procs` and reads `contention` only when a sample is due, and
+    /// differentiates them against the previous sample.
+    pub(crate) fn sample<'a>(
+        &mut self,
+        now: Ns,
+        contention: &Contention,
+        procs: impl Iterator<Item = &'a ProcStats>,
+    ) {
         if !self.cfg.enabled || now < self.next_sample {
-            return None;
+            return;
         }
+        let _sp = prof::span(Region::Trace);
         // Largest epoch boundary ≤ now; one sample summarizes the whole
         // interval since the previous one (event gaps longer than an epoch
         // yield one wide sample rather than a run of empty ones).
-        Some(now - now % self.epoch)
-    }
-
-    /// Pushes a gauge sample at boundary `t` (from [`Self::gauge_due`]),
-    /// differentiating the cumulative `totals` against the previous sample.
-    pub(crate) fn push_gauge(&mut self, t: Ns, totals: GaugeTotals) {
+        let t = now - now % self.epoch;
         let dt = t.saturating_sub(self.last_t);
         if dt == 0 {
             return;
         }
-        let d_acc = totals.accesses - self.last.accesses;
-        let d_miss = totals.misses - self.last.misses;
-        let miss_pct = if d_acc == 0 {
-            0.0
-        } else {
-            100.0 * d_miss as f64 / d_acc as f64
-        };
+        let s = LiveSnapshot::of(0, procs);
+        let (c, last) = (contention, &self.last);
+        let res = c.summary();
+        let busy = [res[0].busy_ns, res[1].busy_ns, res[2].busy_ns];
+        let n = [c.hubs.len(), c.mems.len(), c.routers.len()];
         let occ = |i: usize| {
-            let busy = totals.busy_ns[i] - self.last.busy_ns[i];
-            100.0 * busy as f64 / (dt as f64 * self.counts[i].max(1) as f64)
+            let d_busy = busy[i] - self.last_busy[i];
+            100.0 * d_busy as f64 / (dt as f64 * n[i].max(1) as f64)
         };
-        let of_misses = |d: u64| {
-            if d_miss == 0 {
-                0.0
-            } else {
-                100.0 * d as f64 / d_miss as f64
-            }
-        };
-        let d_stall = totals.mem_stall_ns - self.last.mem_stall_ns;
-        let queue_pct = if d_stall == 0 {
-            0.0
-        } else {
-            100.0 * (totals.queue_wait_ns - self.last.queue_wait_ns) as f64 / d_stall as f64
-        };
+        // Each part is zero whenever its whole is.
+        let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+        let d_miss = s.misses - last.misses;
+        let d_stall = s.mem_stall_ns - last.mem_stall_ns;
+        let queue = |s: &LiveSnapshot| s.queue_ns.iter().sum::<Ns>();
+        let coherence = |s: &LiveSnapshot| s.miss_causes[3] + s.miss_causes[4];
         self.gauges.push(GaugeSample {
             t,
             interval_ns: dt,
-            miss_pct,
+            miss_pct: pct(d_miss, s.accesses - last.accesses),
             hub_occ_pct: occ(0),
             mem_occ_pct: occ(1),
             router_occ_pct: occ(2),
             outstanding: d_stall as f64 / dt as f64,
-            coherence_pct: of_misses(totals.coherence_misses - self.last.coherence_misses),
-            false_share_pct: of_misses(totals.false_share_misses - self.last.false_share_misses),
-            queue_pct,
+            coherence_pct: pct(coherence(&s) - coherence(last), d_miss),
+            false_share_pct: pct(s.miss_causes[4] - last.miss_causes[4], d_miss),
+            queue_pct: pct(queue(&s) - queue(last), d_stall),
         });
         self.last_t = t;
-        self.last = totals;
+        self.last = s;
+        self.last_busy = busy;
         self.next_sample = t + self.epoch;
         if self.gauges.len() > self.cfg.max_gauge_samples {
             self.downsample_gauges();
@@ -515,7 +507,7 @@ impl Trace {
 
     /// Exact total duration recorded for `proc` in a category
     /// (`"busy"`, `"mem"` or `"sync"`); reconciles with
-    /// [`ProcStats`](crate::stats::ProcStats) by construction.
+    /// [`ProcStats`] by construction.
     pub fn category_total(&self, proc: usize, category: &str) -> Ns {
         self.spans[proc]
             .iter()
@@ -644,26 +636,6 @@ pub fn chrome_trace_file(traces: &[(String, &Trace)]) -> String {
     doc.finish()
 }
 
-/// Shape of the per-resource cumulative busy totals the engine samples.
-pub(crate) fn gauge_totals(
-    accesses: u64,
-    misses: u64,
-    mem_stall_ns: Ns,
-    resources: &[ResourceTotals; 4],
-) -> GaugeTotals {
-    GaugeTotals {
-        accesses,
-        misses,
-        mem_stall_ns,
-        busy_ns: [
-            resources[0].busy_ns,
-            resources[1].busy_ns,
-            resources[2].busy_ns,
-        ],
-        ..GaugeTotals::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,15 +646,16 @@ mod tests {
             max_spans,
             ..Default::default()
         };
-        TraceBuffer::new(cfg, 2, [2, 2, 2])
+        TraceBuffer::new(cfg, 2)
     }
 
     #[test]
     fn disabled_buffer_records_nothing() {
-        let mut b = TraceBuffer::new(TraceConfig::default(), 2, [1, 1, 1]);
+        let mut b = TraceBuffer::new(TraceConfig::default(), 2);
         b.span(0, 0, SpanKind::Busy, 0, 100);
         b.instant(0, 0, InstantKind::PageMigration, 0);
-        assert!(b.gauge_due(1 << 40).is_none());
+        b.sample(1 << 40, &Contention::new(1, 1, 0), std::iter::empty());
+        assert!(b.gauges.is_empty(), "a disabled buffer took a gauge sample");
         assert!(b.finish(vec!["main".into()]).is_none());
     }
 
@@ -752,7 +725,7 @@ mod tests {
             max_instants: 4,
             ..Default::default()
         };
-        let mut b = TraceBuffer::new(cfg, 1, [1, 1, 1]);
+        let mut b = TraceBuffer::new(cfg, 1);
         for i in 0..10 {
             b.instant(0, i, InstantKind::LatePrefetch, 0);
         }
@@ -769,16 +742,14 @@ mod tests {
             gauge_epoch_ns: 100,
             ..Default::default()
         };
-        let mut b = TraceBuffer::new(cfg, 1, [1, 1, 1]);
-        let mut totals = GaugeTotals::default();
+        let mut b = TraceBuffer::new(cfg, 1);
+        let machine = Contention::new(1, 1, 0);
+        let mut p = ProcStats::default();
         for step in 1..=32u64 {
-            let now = step * 100;
-            if let Some(t) = b.gauge_due(now) {
-                totals.accesses += 10;
-                totals.misses += 2;
-                totals.mem_stall_ns += 50;
-                b.push_gauge(t, totals);
-            }
+            p.reads += 10;
+            p.misses_local += 2;
+            p.mem_ns += 50;
+            b.sample(step * 100, &machine, [&p].into_iter());
         }
         let t = b.finish(vec!["main".into()]).unwrap();
         assert!(t.gauges.len() <= 8);

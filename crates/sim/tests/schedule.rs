@@ -252,3 +252,170 @@ fn seeded_schedules_match_pinned_digests() {
     let got = digest(&contended_workload(cfg(16, None)).unwrap());
     assert_eq!(got, (18440, 336, 0x7394_2fb6_2407_04b4));
 }
+
+/// A sibling of [`contended_workload`] that also drives every other
+/// happening an observer consumes: `fetch_add`, phase changes, software
+/// prefetch, accesses to a labelled range and one real write-write race.
+fn observed_workload(c: MachineConfig) -> Result<RunStats, SimError> {
+    let n = c.nprocs;
+    let mut m = Machine::new(c)?;
+    let x = m.shared_vec::<f64>(1024.max(256 + 64 * n), Placement::Blocked);
+    let hot = m.shared_vec_labeled::<u64>("hot", 16 * n, Placement::Node(0));
+    let l = m.lock();
+    let b = m.barrier();
+    let s = m.semaphore(1);
+    let cell = m.fetch_cell(0);
+    let (x2, hot2) = (x.clone(), hot.clone());
+    m.run(move |ctx| {
+        let (x, hot) = (&x2, &hot2);
+        let p = ctx.id();
+        let n = ctx.nprocs();
+        for round in 0..4 {
+            ctx.phase(if round % 2 == 0 { "even" } else { "odd" });
+            ctx.compute_ops(40 + (p as u64) * 11);
+            let k = ctx.fetch_add(cell, 1) as usize;
+            hot.write(ctx, k % (16 * n), k as u64);
+            ctx.with_lock(l, || {
+                let v = x.read(ctx, round);
+                x.write(ctx, round, v + 1.0);
+            });
+            ctx.sem_wait(s);
+            ctx.compute_ops(20);
+            ctx.sem_post(s, 1);
+            let lo = 64 * p;
+            x.prefetch(ctx, 256 + lo, 32);
+            for i in lo..lo + 16 {
+                x.write(ctx, 256 + i, (i + round) as f64);
+            }
+            if round == 3 {
+                // Unsynchronized writes to one word: a race to report.
+                hot.write(ctx, 0, p as u64);
+            }
+            ctx.barrier(b);
+            let _ = x.read(ctx, 256 + 64 * ((p + 1) % n));
+            let _ = hot.read(ctx, (p + round) % (16 * n));
+        }
+    })
+}
+
+/// FNV-1a of `s`.
+fn fnv(s: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(s.as_bytes());
+    h.finish()
+}
+
+/// `p` without the counters that only `classify_misses` fills.
+fn unclassified(mut p: ccnuma_sim::stats::ProcStats) -> ccnuma_sim::stats::ProcStats {
+    p.misses_cold = 0;
+    p.misses_coherence = 0;
+    p.misses_capacity = 0;
+    p.misses_conflict = 0;
+    p.misses_false_share = 0;
+    p.mem_cause_ns = Default::default();
+    p
+}
+
+/// Each observer's output, pinned byte for byte as FNV-1a digests of the
+/// Chrome trace JSON, the critical path's Chrome JSON and text table,
+/// the sanitize report's `Debug` text, and the `ranges` and `phases`
+/// records. An observer refactor must leave every one unchanged, and
+/// the observers must leave the processors' statistics alone.
+#[test]
+fn observer_outputs_match_pinned_digests() {
+    // (procs, schedule seed, trace span cap (0: default), digests); the
+    // small cap makes the trace buffer compact mid-run, which pins the
+    // order in which spans reach it.
+    type Pin = (usize, Option<u64>, usize, [u64; 6]);
+    const PINS: [Pin; 4] = [
+        (
+            4,
+            None,
+            0,
+            [
+                0xb1e3_3f04_ca3e_e78f,
+                0x9608_6c6d_5124_e6aa,
+                0x4a78_d9eb_4bae_65b5,
+                0xdda3_7a9b_69ac_871b,
+                0x5152_d887_feb5_ac3a,
+                0xf152_0c55_27b3_9601,
+            ],
+        ),
+        (
+            16,
+            None,
+            0,
+            [
+                0xf7ac_6247_0f0d_a0bd,
+                0xc4fc_2bf4_6ed6_78e4,
+                0xe312_01ba_313a_37cc,
+                0xc9ea_5748_940b_a3dd,
+                0x5075_cc93_21c7_7774,
+                0x0e5f_13be_489e_0d46,
+            ],
+        ),
+        (
+            4,
+            Some(5),
+            0,
+            [
+                0xe932_0e17_e188_a227,
+                0x9305_4f82_07f6_041a,
+                0x9d56_9be5_e6b8_395a,
+                0x9567_812b_830e_ca5a,
+                0xd7ae_794b_389b_105c,
+                0x9d9f_80e0_7a29_2a4c,
+            ],
+        ),
+        (
+            16,
+            None,
+            64,
+            [
+                0x810f_c83c_cfcd_35df,
+                0xc4fc_2bf4_6ed6_78e4,
+                0xe312_01ba_313a_37cc,
+                0xc9ea_5748_940b_a3dd,
+                0x5075_cc93_21c7_7774,
+                0x0e5f_13be_489e_0d46,
+            ],
+        ),
+    ];
+    for (n, seed, cap, want) in PINS {
+        let mut c = cfg(n, seed.map(ScheduleConfig::random));
+        c.prefetch_enabled = true;
+        let off = observed_workload(c.clone()).unwrap();
+        c.classify_misses = true;
+        c.trace.enabled = true;
+        if cap > 0 {
+            c.trace.max_spans = cap;
+        }
+        c.sanitize.enabled = true;
+        c.critpath = true;
+        let on = observed_workload(c).unwrap();
+        let (trace, crit) = (on.trace.as_ref().unwrap(), on.critpath.as_ref().unwrap());
+        let got = [
+            fnv(&trace.to_chrome_json("pin")),
+            fnv(&crit.to_chrome_json("pin")),
+            fnv(&crit.text_table()),
+            fnv(&format!("{:?}", on.sanitize.as_ref().unwrap())),
+            fnv(&format!("{:?}", on.ranges)),
+            fnv(&format!("{:?}", on.phases)),
+        ];
+        assert_eq!(got, want, "{n}p seed {seed:?} cap {cap}: {got:#x?}");
+        assert!(!on.ranges.is_empty() && !on.sanitize.as_ref().unwrap().is_clean());
+        assert_eq!((on.wall_ns, on.events), (off.wall_ns, off.events));
+        let strip = |s: &RunStats| {
+            s.procs
+                .iter()
+                .cloned()
+                .map(unclassified)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            strip(&on),
+            strip(&off),
+            "{n}p seed {seed:?}: observers moved procs"
+        );
+    }
+}

@@ -5,9 +5,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use ccnuma_sim::error::panic_message;
 use ccnuma_sim::stats::RunStats;
 use ccnuma_sim::time::Ns;
-use scaling_study::runner::{execute_workload, panic_message, Baselines, StudyError};
+use scaling_study::runner::{execute_workload, Baselines, StudyError};
 use splash_apps::common::Workload;
 
 use crate::events::{emit, EventSink, ExecEvent};

@@ -426,8 +426,9 @@ fn cmd_perf(args: &[String]) -> ! {
                     doc.push(',');
                 }
                 doc.push_str(&format!(
-                    "\n    {{\"mode\": \"{}\", \"total_ns\": {}, \"overhead_pct\": {:.3}}}",
-                    r.mode, r.total_ns, r.overhead_pct
+                    "\n    {{\"mode\": \"{}\", \"total_ns\": {}, \"overhead_pct\": {:.3}, \
+                     \"range_pct\": [{:.3}, {:.3}]}}",
+                    r.mode, r.total_ns, r.overhead_pct, r.range_pct.0, r.range_pct.1
                 ));
             }
             doc.push_str("\n  ]");
@@ -443,24 +444,24 @@ fn cmd_perf(args: &[String]) -> ! {
     write_or_check("bench perf", gate.check, &gates)
 }
 
-fn cmd_sweep(args: &[String]) -> ! {
-    let mut dsl: Vec<&str> = Vec::new();
-    let mut cfg = SweepConfig::default();
-    let mut require_cached = false;
+/// Parses the flags the matrix subcommands (`bench sweep`, `bench
+/// sanitize`) share into `cfg` and returns the matrix DSL tokens and
+/// whether `--quiet` was given. Every other flag goes to `other`, which
+/// takes any value from the remaining arguments and returns false for a
+/// flag it does not know.
+fn matrix_args<'a>(
+    args: &'a [String],
+    cfg: &mut SweepConfig,
+    mut other: impl FnMut(&str, &mut std::slice::Iter<'a, String>, &mut SweepConfig) -> bool,
+) -> (Vec<&'a str>, bool) {
+    let mut dsl = Vec::new();
     let mut quiet = false;
-    let mut live_addr: Option<String> = None;
-    let mut live_log: Option<PathBuf> = None;
-    let mut epoch = Duration::from_millis(250);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => cfg.jobs = parse_count(&mut it, "--jobs"),
-            "--store" => match it.next() {
-                Some(f) => cfg.store_path = PathBuf::from(f),
-                None => usage(2),
-            },
+            "--store" => cfg.store_path = PathBuf::from(it.next().unwrap_or_else(|| usage(2))),
             "--resume" => cfg.resume = true,
-            "--retry-quarantined" => cfg.retry_quarantined = true,
             "--retries" => match it.next().map(|v| v.parse::<u32>()) {
                 Some(Ok(n)) => cfg.opts.retries = n,
                 _ => usage(2),
@@ -469,51 +470,54 @@ fn cmd_sweep(args: &[String]) -> ! {
                 Some(Ok(s)) if s >= 1 => cfg.opts.timeout = Some(Duration::from_secs(s)),
                 _ => usage(2),
             },
-            "--attrib-dir" => match it.next() {
-                Some(d) => cfg.attrib_dir = Some(PathBuf::from(d)),
-                None => usage(2),
-            },
-            "--trace-dir" => match it.next() {
-                Some(d) => cfg.trace_dir = Some(PathBuf::from(d)),
-                None => usage(2),
-            },
-            "--inject-panic" => match it.next() {
-                Some(l) => cfg.opts.inject_panic = Some(l.clone()),
-                None => usage(2),
-            },
-            "--require-cached" => require_cached = true,
             "--quiet" => quiet = true,
-            "--live" => match it.next() {
-                Some(a) => live_addr = Some(a.clone()),
-                None => usage(2),
-            },
-            "--live-log" => match it.next() {
-                Some(f) => live_log = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--epoch-ms" => {
-                epoch = Duration::from_millis(parse_count(&mut it, "--epoch-ms") as u64)
-            }
             "--help" | "-h" => usage(0),
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other:?}");
+            flag if other(flag, &mut it, cfg) => {}
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag {flag:?}");
                 usage(2);
             }
             tok => dsl.push(tok),
         }
     }
+    (dsl, quiet)
+}
+
+/// Parses the matrix DSL, or exits 2 with the usage text.
+fn parse_matrix(dsl: &str) -> MatrixSpec {
+    MatrixSpec::parse(dsl).unwrap_or_else(|e| {
+        eprintln!("error: bad matrix: {e}");
+        usage(2)
+    })
+}
+
+fn cmd_sweep(args: &[String]) -> ! {
+    let mut cfg = SweepConfig::default();
+    let mut require_cached = false;
+    let mut live_addr: Option<String> = None;
+    let mut live_log: Option<PathBuf> = None;
+    let mut epoch = Duration::from_millis(250);
+    let (dsl, quiet) = matrix_args(args, &mut cfg, |flag, rest, cfg| {
+        let mut value = || rest.next().unwrap_or_else(|| usage(2)).clone();
+        match flag {
+            "--retry-quarantined" => cfg.retry_quarantined = true,
+            "--attrib-dir" => cfg.attrib_dir = Some(PathBuf::from(value())),
+            "--trace-dir" => cfg.trace_dir = Some(PathBuf::from(value())),
+            "--inject-panic" => cfg.opts.inject_panic = Some(value()),
+            "--require-cached" => require_cached = true,
+            "--live" => live_addr = Some(value()),
+            "--live-log" => live_log = Some(PathBuf::from(value())),
+            "--epoch-ms" => epoch = Duration::from_millis(parse_count(rest, "--epoch-ms") as u64),
+            _ => return false,
+        }
+        true
+    });
     if cfg.retry_quarantined && !cfg.resume {
         eprintln!("error: --retry-quarantined only makes sense with --resume");
         usage(2);
     }
 
-    let matrix = match MatrixSpec::parse(&dsl.join(" ")) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: bad matrix: {e}");
-            usage(2);
-        }
-    };
+    let matrix = parse_matrix(&dsl.join(" "));
     let cells = matrix.cells();
     eprintln!(
         "[sweep] {} cell(s), {} job(s), store {}",
@@ -546,13 +550,15 @@ fn cmd_sweep(args: &[String]) -> ! {
     } else {
         None
     };
-    cfg.events = Some(wiring.event_recorder(cells.len(), hub.as_ref().map(|h| h.handle()), !quiet));
+    cfg.events = Some(live::recorder(
+        &wiring.registry,
+        cells.len(),
+        hub.as_ref().map(|h| h.handle()),
+        !quiet,
+    ));
 
     let t0 = std::time::Instant::now();
-    let out = match sweep(&matrix, &cfg) {
-        Ok(o) => o,
-        Err(e) => fail(&format!("sweep failed: {e}")),
-    };
+    let out = sweep(&matrix, &cfg).unwrap_or_else(|e| fail(&format!("sweep failed: {e}")));
 
     // Teardown order: ingest post-mortem trace gauges and critical-path
     // shares first so the final epoch sample (taken by hub.shutdown)
@@ -572,13 +578,12 @@ fn cmd_sweep(args: &[String]) -> ! {
         );
     }
     eprintln!(
-        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}, steals {}",
+        "[sweep] done in {:.1?}: {} cell(s) — executed {}, cached {}, quarantined {}",
         t0.elapsed(),
         out.records.len(),
         out.executed,
         out.cached,
         out.quarantined.len(),
-        out.steals,
     );
     if !out.quarantined.is_empty() {
         for label in &out.quarantined {
@@ -717,53 +722,28 @@ fn cmd_top(args: &[String]) -> ! {
 /// `bench sanitize`: sweep the matrix with the happens-before sanitizer
 /// on and gate on what it finds.
 fn cmd_sanitize(args: &[String]) -> ! {
-    let mut dsl: Vec<&str> = Vec::new();
     let mut cfg = SweepConfig {
-        progress: true,
         store_path: PathBuf::from("sanitize_results.jsonl"),
         ..Default::default()
     };
     let mut out_path: Option<PathBuf> = None;
     let mut schedules: Option<u32> = None;
     let mut seed_base: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => cfg.jobs = parse_count(&mut it, "--jobs"),
-            "--store" => match it.next() {
-                Some(f) => cfg.store_path = PathBuf::from(f),
-                None => usage(2),
-            },
-            "--resume" => cfg.resume = true,
-            "--retries" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => cfg.opts.retries = n,
-                _ => usage(2),
-            },
-            "--timeout-s" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) if s >= 1 => cfg.opts.timeout = Some(Duration::from_secs(s)),
-                _ => usage(2),
-            },
-            "--out" => match it.next() {
-                Some(f) => out_path = Some(PathBuf::from(f)),
-                None => usage(2),
-            },
-            "--schedules" => match it.next().map(|v| v.parse::<u32>()) {
+    let (dsl, quiet) = matrix_args(args, &mut cfg, |flag, rest, _| {
+        match flag {
+            "--out" => out_path = Some(PathBuf::from(rest.next().unwrap_or_else(|| usage(2)))),
+            "--schedules" => match rest.next().map(|v| v.parse::<u32>()) {
                 Some(Ok(n)) if n >= 1 => schedules = Some(n),
                 _ => usage(2),
             },
-            "--seed-base" => match it.next().map(|v| v.parse::<u64>()) {
+            "--seed-base" => match rest.next().map(|v| v.parse::<u64>()) {
                 Some(Ok(s)) => seed_base = Some(s),
                 _ => usage(2),
             },
-            "--quiet" => cfg.progress = false,
-            "--help" | "-h" => usage(0),
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other:?}");
-                usage(2);
-            }
-            tok => dsl.push(tok),
+            _ => return false,
         }
-    }
+        true
+    });
 
     // Defaults first so the user's tokens override them; `sanitize=on`
     // (and the schedule flags, which are just DSL spellings) last so
@@ -776,13 +756,7 @@ fn cmd_sanitize(args: &[String]) -> ! {
     if let Some(s) = seed_base {
         dsl.push_str(&format!(" sched-seed={s}"));
     }
-    let matrix = match MatrixSpec::parse(&dsl) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: bad matrix: {e}");
-            usage(2);
-        }
-    };
+    let matrix = parse_matrix(&dsl);
     let cells = matrix.cells();
     eprintln!(
         "[sanitize] {} cell(s), {} job(s), store {}",
@@ -790,11 +764,16 @@ fn cmd_sanitize(args: &[String]) -> ! {
         cfg.jobs,
         cfg.store_path.display()
     );
+    // The same per-cell progress lines as `bench sweep`, from the same
+    // recorder, over a registry nothing else reads.
+    cfg.events = Some(live::recorder(
+        &ccnuma_telemetry::Registry::new(),
+        cells.len(),
+        None,
+        !quiet,
+    ));
     let t0 = std::time::Instant::now();
-    let out = match sweep(&matrix, &cfg) {
-        Ok(o) => o,
-        Err(e) => fail(&format!("sweep failed: {e}")),
-    };
+    let out = sweep(&matrix, &cfg).unwrap_or_else(|e| fail(&format!("sweep failed: {e}")));
     eprintln!(
         "[sanitize] done in {:.1?}: executed {}, cached {}, quarantined {}",
         t0.elapsed(),

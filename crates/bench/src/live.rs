@@ -122,7 +122,6 @@ impl Wiring {
 
         // --- sweep pool and store layer ----------------------------
         let pool_done = r.counter("sweep_pool_tasks_done_total", "Pool tasks completed");
-        let pool_steals = r.counter("sweep_pool_steals_total", "Pool steal batches");
         let store_bytes = r.counter("sweep_store_bytes_total", "Bytes appended to result stores");
         let store_recs = r.counter(
             "sweep_store_records_total",
@@ -173,7 +172,6 @@ impl Wiring {
         let epochs = r.counter("bench_epochs_total", "Refresher epochs completed");
 
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = r.clone();
         let stop2 = Arc::clone(&stop);
         let refresher = std::thread::Builder::new()
             .name("bench-live-refresh".into())
@@ -223,23 +221,7 @@ impl Wiring {
                         // second; /1e9 yields cores busy in the region.
                         busy_g.set(busy_rate.update(prof_self[i], dt) / 1e9);
                     }
-                    let pl = &ccnuma_sweep::pool::LIVE;
-                    pool_done.mirror(pl.tasks_done.load(Ordering::Relaxed));
-                    pool_steals.mirror(pl.steals.load(Ordering::Relaxed));
-                    for (w, s) in pl.worker_steals.iter().enumerate() {
-                        let v = s.load(Ordering::Relaxed);
-                        if v > 0 {
-                            // Lazily registered so idle worker slots do
-                            // not clutter the exposition.
-                            registry
-                                .counter_with(
-                                    "sweep_pool_worker_steals_total",
-                                    &[("worker", &w.to_string())],
-                                    "Steal batches per worker slot",
-                                )
-                                .mirror(v);
-                        }
-                    }
+                    pool_done.mirror(ccnuma_sweep::pool::LIVE_TASKS_DONE.load(Ordering::Relaxed));
                     store_bytes
                         .mirror(ccnuma_sweep::store::LIVE_BYTES_APPENDED.load(Ordering::Relaxed));
                     store_recs
@@ -270,18 +252,6 @@ impl Wiring {
         if let Some(h) = self.refresher.take() {
             let _ = h.join();
         }
-    }
-
-    /// Builds a sweep event sink that records per-cell lifecycle into
-    /// the registry, optionally forwards each event to an SSE hub, and
-    /// optionally prints a live one-line progress summary to stderr.
-    pub fn event_recorder(
-        &self,
-        total_cells: usize,
-        hub: Option<HubHandle>,
-        progress: bool,
-    ) -> EventSink {
-        recorder(&self.registry, total_cells, hub, progress)
     }
 
     /// Mirrors the final epoch-sampled machine gauges of post-mortem
@@ -352,7 +322,10 @@ struct RecorderState {
     progress: bool,
 }
 
-/// Builds the sweep event sink over `registry`.
+/// Builds a sweep event sink that records per-cell lifecycle into
+/// `registry`, optionally forwards each event to an SSE hub, and
+/// optionally prints a one-line progress summary per finished cell to
+/// stderr.
 pub fn recorder(
     registry: &Registry,
     total_cells: usize,
@@ -671,11 +644,10 @@ pub fn render_top(rec: &EpochRecord) -> String {
         g("sweep_cell_host_ms_count"),
     ));
     out.push_str(&format!(
-        "store  {:.1} KiB in {:.0} record(s), pool {:.0} task(s), {:.0} steal(s)\n",
+        "store  {:.1} KiB in {:.0} record(s), pool {:.0} task(s)\n",
         g("sweep_store_bytes_total") / 1024.0,
         g("sweep_store_records_total"),
         g("sweep_pool_tasks_done_total"),
-        g("sweep_pool_steals_total"),
     ));
     out
 }

@@ -22,7 +22,7 @@ use ccnuma_sim::json::{self, quote, Value};
 use ccnuma_sim::prof::{self, HostProfile};
 use scaling_study::runner::{execute_workload, StudyError};
 
-use crate::regress::{over_matrix, pair, Gate, MATRIX_APPS, MATRIX_PROCS};
+use crate::regress::{over_matrix, pair, Gate};
 
 /// Default relative tolerance of the throughput gate. Deliberately far
 /// looser than the accuracy gate's 2%: wall clocks on shared CI runners
@@ -79,6 +79,10 @@ pub struct OverheadEntry {
     pub total_ns: u64,
     /// Percent overhead versus the all-off baseline pass.
     pub overhead_pct: f64,
+    /// Lowest and highest per-pass overhead, percent: each pass's total
+    /// over the same round's baseline pass total. A range that spans 0
+    /// means the host could not resolve the row.
+    pub range_pct: (f64, f64),
 }
 
 /// Switches on the optional subsystem `mode` prices. `"baseline"` and
@@ -170,50 +174,69 @@ fn matrix_pass(jobs: usize, mode: &str) -> Result<Vec<u64>, StudyError> {
 /// passes are *round-robin interleaved* — pass `i` of every mode runs
 /// before pass `i+1` of any, so a machine whose speed drifts over
 /// seconds (turbo, co-tenants) exposes every mode to the same fast and
-/// slow windows; and the caller picks the pass count. The `"live"` row
-/// runs the full telemetry wiring (registry, refresher, rate pipeline)
-/// for the duration of its passes.
+/// slow windows; and the caller picks the pass count. Each row also
+/// keeps the spread of its per-round overheads, so a row the host
+/// cannot resolve says so. The `"live"` row runs the full telemetry
+/// wiring (registry, refresher, rate pipeline) for the duration of its
+/// passes.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation or verification failure.
 pub fn measure_overheads(jobs: usize, passes: usize) -> Result<Vec<OverheadEntry>, StudyError> {
-    let passes = passes.max(1);
-    let n_cells = MATRIX_APPS.len() * MATRIX_PROCS.len();
-    let mut best = vec![vec![u64::MAX; n_cells]; OVERHEAD_MODES.len() + 1];
-    let fold = |best: &mut Vec<u64>, pass: Vec<u64>| {
-        for (b, t) in best.iter_mut().zip(pass) {
-            *b = (*b).min(t);
-        }
-    };
-    for _ in 0..passes {
-        let pass = matrix_pass(jobs, "baseline")?;
-        fold(&mut best[0], pass);
-        for (i, &mode) in OVERHEAD_MODES.iter().enumerate() {
+    let mut rounds = Vec::with_capacity(passes.max(1));
+    for _ in 0..passes.max(1) {
+        let mut round = vec![matrix_pass(jobs, "baseline")?];
+        for &mode in OVERHEAD_MODES {
             let wiring = (mode == "live")
                 .then(|| crate::live::Wiring::start(std::time::Duration::from_millis(100)));
             let pass = matrix_pass(jobs, mode);
             if let Some(w) = wiring {
                 w.stop();
             }
-            fold(&mut best[i + 1], pass?);
+            round.push(pass?);
         }
+        rounds.push(round);
     }
-    let base: u64 = best[0].iter().sum();
-    let mut out = vec![OverheadEntry {
-        mode: "baseline",
-        total_ns: base,
-        overhead_pct: 0.0,
-    }];
-    for (i, &mode) in OVERHEAD_MODES.iter().enumerate() {
-        let total: u64 = best[i + 1].iter().sum();
-        out.push(OverheadEntry {
-            mode,
-            total_ns: total,
-            overhead_pct: 100.0 * (total as f64 / base.max(1) as f64 - 1.0),
-        });
-    }
-    Ok(out)
+    Ok(summarize_overheads(&rounds))
+}
+
+/// Folds interleaved rounds of per-cell pass times into the report rows:
+/// `rounds[round][mode][cell]`, mode 0 the baseline and then
+/// [`OVERHEAD_MODES`] in order. A row's total is the sum of its
+/// per-cell minima across rounds; its range spans the per-round pass
+/// totals over the same round's baseline total.
+///
+/// # Panics
+///
+/// On an empty `rounds`.
+fn summarize_overheads(rounds: &[Vec<Vec<u64>>]) -> Vec<OverheadEntry> {
+    let pct = |total: u64, base: u64| 100.0 * (total as f64 / base.max(1) as f64 - 1.0);
+    let composite = |m: usize| -> u64 {
+        (0..rounds[0][m].len())
+            .map(|c| rounds.iter().map(|r| r[m][c]).min().unwrap_or(0))
+            .sum()
+    };
+    let base = composite(0);
+    std::iter::once("baseline")
+        .chain(OVERHEAD_MODES.iter().copied())
+        .enumerate()
+        .map(|(m, mode)| {
+            let total = composite(m);
+            let range_pct = rounds
+                .iter()
+                .map(|r| pct(r[m].iter().sum(), r[0].iter().sum()))
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                    (lo.min(p), hi.max(p))
+                });
+            OverheadEntry {
+                mode,
+                total_ns: total,
+                overhead_pct: pct(total, base),
+                range_pct,
+            }
+        })
+        .collect()
 }
 
 /// Runs one profiled pass over the matrix (`cfg.profile = on`) and
@@ -377,13 +400,15 @@ pub fn table(entries: &[PerfEntry]) -> String {
 
 /// Renders the subsystem-overhead table.
 pub fn overhead_table(rows: &[OverheadEntry]) -> String {
-    let mut out = String::from("subsystem    total host ms   overhead\n");
+    let mut out = String::from("subsystem    total host ms   overhead   per-pass range\n");
     for r in rows {
         out.push_str(&format!(
-            "{:<12} {:>13.1} {:>+9.1}%\n",
+            "{:<12} {:>13.1} {:>+9.1}%  {:>+8.1}% .. {:+.1}%\n",
             r.mode,
             r.total_ns as f64 / 1e6,
-            r.overhead_pct
+            r.overhead_pct,
+            r.range_pct.0,
+            r.range_pct.1
         ));
     }
     out
@@ -392,6 +417,7 @@ pub fn overhead_table(rows: &[OverheadEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regress::{MATRIX_APPS, MATRIX_PROCS};
 
     fn entry(app: &str, np: usize, events: u64, ns: u64) -> PerfEntry {
         PerfEntry {
@@ -459,6 +485,32 @@ mod tests {
         let msgs = compare("some-old-model", &base, &base, 0.35);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("model fingerprint changed"), "{msgs:?}");
+    }
+
+    #[test]
+    fn overhead_rows_keep_the_per_pass_range() {
+        // Two rounds over two cells. The first mode costs +25% in round
+        // 0 and -25% in round 1 against that round's baseline; every
+        // other mode costs a flat +50%.
+        let round = |base: [u64; 2], first: [u64; 2]| {
+            let mut modes = vec![base.to_vec(), first.to_vec()];
+            modes.resize(OVERHEAD_MODES.len() + 1, base.map(|t| t * 3 / 2).to_vec());
+            modes
+        };
+        let rows =
+            summarize_overheads(&[round([100, 300], [125, 375]), round([200, 200], [150, 150])]);
+        let modes: Vec<&str> = rows.iter().map(|r| r.mode).collect();
+        assert_eq!(modes[0], "baseline");
+        assert_eq!(modes[1..], *OVERHEAD_MODES);
+        // Per-cell minima: baseline 100 + 200, first mode 125 + 150.
+        assert_eq!((rows[0].total_ns, rows[1].total_ns), (300, 275));
+        assert_eq!(rows[0].range_pct, (0.0, 0.0));
+        assert_eq!(rows[1].range_pct, (-25.0, 25.0));
+        assert!(
+            rows[2..].iter().all(|r| r.range_pct == (50.0, 50.0)),
+            "{rows:?}"
+        );
+        assert!(overhead_table(&rows).contains("-25.0% .. +25.0%"));
     }
 
     #[test]

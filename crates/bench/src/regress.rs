@@ -70,9 +70,9 @@ impl RegressEntry {
 }
 
 /// Runs `cell` on every point of the pinned matrix, fanned out over the
-/// sweep engine's work-stealing pool on `jobs` host threads (`jobs = 1`
-/// is the serial case), and returns the results in matrix order. Each
-/// point gets its quick-scale Origin config with `tweak` applied.
+/// sweep engine's pool on `jobs` host threads (`jobs = 1` is the serial
+/// case), and returns the results in matrix order. Each point gets its
+/// quick-scale Origin config with `tweak` applied.
 ///
 /// # Errors
 ///

@@ -87,7 +87,12 @@ fn live_log_is_parseable_and_monotone() {
         store_path: dir.join("results.jsonl"),
         ..Default::default()
     };
-    cfg.events = Some(wiring.event_recorder(cells, Some(hub.handle()), false));
+    cfg.events = Some(live::recorder(
+        &wiring.registry,
+        cells,
+        Some(hub.handle()),
+        false,
+    ));
     let out = sweep(&matrix, &cfg).expect("sweep runs");
     assert_eq!(out.executed, cells);
     wiring.ingest_traces(&out.gauges);
@@ -142,7 +147,12 @@ fn endpoints_serve_real_sweep_data() {
         store_path: dir.join("results.jsonl"),
         ..Default::default()
     };
-    cfg.events = Some(wiring.event_recorder(1, Some(hub.handle()), false));
+    cfg.events = Some(live::recorder(
+        &wiring.registry,
+        1,
+        Some(hub.handle()),
+        false,
+    ));
     sweep(&matrix, &cfg).expect("sweep runs");
     // One refresher epoch so the registry has mirrored the final state.
     std::thread::sleep(Duration::from_millis(30));

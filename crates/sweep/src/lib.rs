@@ -5,11 +5,11 @@
 //! take turns advancing the engine in virtual-time order, parked while
 //! they wait), so the full `apps × versions × procs` matrix is
 //! embarrassingly parallel across *cells*. This crate fans the cells
-//! out over a std-only [work-stealing pool](pool), identifies every
-//! cell by a [content hash](key) of everything that determines its
-//! result, and appends finished cells to a [crash-safe JSONL
-//! store](store) — so `--resume` re-runs exactly the cells that are
-//! missing, torn, or (optionally) quarantined, and nothing else.
+//! out over a std-only [worker pool](pool) that shares one queue,
+//! identifies every cell by a [content hash](key) of everything that
+//! determines its result, and appends finished cells to a [crash-safe
+//! JSONL store](store) — so `--resume` re-runs exactly the cells that
+//! are missing, torn, or (optionally) quarantined, and nothing else.
 //!
 //! The pieces:
 //!
@@ -19,7 +19,7 @@
 //! - [`run`] — per-cell execution with panic isolation, timeout, and
 //!   retry ([`Executor`]);
 //! - [`store`] — the append-only JSONL result store;
-//! - [`pool`] — the work-stealing scheduler;
+//! - [`pool`] — the scheduler: one shared queue, taken in order;
 //! - [`sweep`] — the driver tying them together.
 
 pub mod events;
@@ -34,10 +34,8 @@ pub mod store;
 pub use ccnuma_sim::json;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
+use ccnuma_sim::stats::RunStats;
 use matrix::{CellSpec, MatrixSpec};
 use run::{Executor, RunOptions};
 use store::{CellRecord, Store};
@@ -64,8 +62,6 @@ pub struct SweepConfig {
     /// Directory to write per-cell Chrome/Perfetto traces into (only
     /// cells swept with `trace=on` carry a trace).
     pub trace_dir: Option<PathBuf>,
-    /// Print per-cell progress lines with an ETA to stderr.
-    pub progress: bool,
     /// Per-cell lifecycle event sink ([`events::ExecEvent`]); called
     /// from worker threads.
     pub events: Option<events::EventSink>,
@@ -81,7 +77,6 @@ impl std::fmt::Debug for SweepConfig {
             .field("opts", &self.opts)
             .field("attrib_dir", &self.attrib_dir)
             .field("trace_dir", &self.trace_dir)
-            .field("progress", &self.progress)
             .field("events", &self.events.is_some())
             .finish()
     }
@@ -97,7 +92,6 @@ impl Default for SweepConfig {
             opts: RunOptions::default(),
             attrib_dir: None,
             trace_dir: None,
-            progress: false,
             events: None,
         }
     }
@@ -127,8 +121,6 @@ pub struct SweepOutcome {
     pub critpaths: Vec<(String, ccnuma_sim::critpath::CritReport)>,
     /// Lines dropped while loading the store (torn or foreign).
     pub dropped_lines: usize,
-    /// Work-stealing batches performed by the pool.
-    pub steals: u64,
     /// Epoch-sampled machine gauges of the cells *executed this
     /// invocation* with tracing enabled, sorted by label — the same
     /// series the per-cell trace files carry, handed back so a live
@@ -187,91 +179,36 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
     pending.sort_by_key(|c| std::cmp::Reverse(c.nprocs));
 
     let total = pending.len();
-    let done = AtomicUsize::new(0);
-    let t0 = Instant::now();
     let mut executor = Executor::new(cfg.opts.clone());
     if let Some(sink) = &cfg.events {
         executor = executor.with_events(sink.clone());
     }
-    let io_errors: Mutex<Vec<std::io::Error>> = Mutex::new(Vec::new());
-    let sanitizes: Mutex<Vec<(String, ccnuma_sim::sanitize::SanitizeReport)>> =
-        Mutex::new(Vec::new());
-    let critpaths: Mutex<Vec<(String, ccnuma_sim::critpath::CritReport)>> = Mutex::new(Vec::new());
-    let gauges: Mutex<Vec<(String, Vec<ccnuma_sim::trace::GaugeSample>)>> = Mutex::new(Vec::new());
-
-    let (ran, metrics) = pool::run(&pending, cfg.jobs, |spec| {
+    let (ran, _) = pool::run(&pending, cfg.jobs, |spec| {
         let (rec, stats) = executor.run_cell_full(spec);
-        // Persist before reporting progress: once a cell is announced
-        // done, a crash must not lose it.
-        let sink = |res: std::io::Result<()>| {
-            if let Err(e) = res {
-                io_errors.lock().expect("io error list poisoned").push(e);
-            }
-        };
-        sink(store.append(&rec));
-        if let Some(stats) = &stats {
-            if let Some(dir) = &cfg.attrib_dir {
-                sink(write_cell_file(dir, spec, ".json", |label| {
-                    scaling_study::report::attrib_json(label, stats)
-                }));
-            }
-            if let Some(trace) = &stats.trace {
-                if let Some(dir) = &cfg.trace_dir {
-                    sink(write_cell_file(dir, spec, ".trace.json", |label| {
-                        ccnuma_sim::trace::chrome_trace_file(&[(label.to_string(), trace)])
-                    }));
-                }
-                if !trace.gauges.is_empty() {
-                    gauges
-                        .lock()
-                        .expect("gauge list poisoned")
-                        .push((spec.label(), trace.gauges.clone()));
-                }
-            }
-            if let Some(rep) = &stats.sanitize {
-                sanitizes
-                    .lock()
-                    .expect("sanitize list poisoned")
-                    .push((spec.label(), rep.clone()));
-            }
-            if let Some(rep) = &stats.critpath {
-                if let Some(dir) = &cfg.trace_dir {
-                    sink(write_cell_file(dir, spec, ".critpath.json", |label| {
-                        rep.to_chrome_json(label)
-                    }));
-                }
-                critpaths
-                    .lock()
-                    .expect("critpath list poisoned")
-                    .push((spec.label(), rep.clone()));
-            }
-        }
-        if cfg.progress {
-            let n = done.fetch_add(1, Ordering::SeqCst) + 1;
-            let elapsed = t0.elapsed();
-            let eta = elapsed.mul_f64((total - n) as f64 / n as f64);
-            eprintln!(
-                "[sweep] {n}/{total} {} ({}) {:.1}s elapsed, ~{:.1}s left",
-                rec.label,
-                rec.status.name(),
-                elapsed.as_secs_f64(),
-                eta.as_secs_f64(),
-            );
-        }
-        rec
+        // Persist before the worker takes its next cell: a crash loses
+        // at most the cells in flight.
+        let appended = store.append(&rec);
+        let exported = stats.as_ref().map_or(Ok(()), |s| export_cell(cfg, spec, s));
+        // Hand back only what the outcome keeps; the rest of the stats
+        // (the trace's spans above all) is dropped here.
+        let kept = stats.map(|s| (s.sanitize, s.critpath, s.trace.map(|t| t.gauges)));
+        (rec, appended.and(exported), kept)
     });
-    if let Some(e) = io_errors
-        .into_inner()
-        .expect("io error list poisoned")
-        .pop()
-    {
-        return Err(e);
-    }
 
+    let mut by_key = std::collections::HashMap::new();
+    let (mut sanitizes, mut critpaths, mut gauges) = (Vec::new(), Vec::new(), Vec::new());
+    for (rec, written, kept) in ran {
+        written?;
+        if let Some((sanitize, critpath, cell_gauges)) = kept {
+            let label = || rec.label.clone();
+            sanitizes.extend(sanitize.map(|r| (label(), r)));
+            critpaths.extend(critpath.map(|r| (label(), r)));
+            gauges.extend(cell_gauges.filter(|g| !g.is_empty()).map(|g| (label(), g)));
+        }
+        by_key.insert(rec.key.clone(), rec);
+    }
     // Stitch executed records back into matrix order (lookup, not
     // removal — duplicate cells share the one executed record).
-    let by_key: std::collections::HashMap<String, CellRecord> =
-        ran.into_iter().map(|rec| (rec.key.clone(), rec)).collect();
     let mut records = Vec::with_capacity(cells.len());
     let mut quarantined = Vec::new();
     for i in 0..cells.len() {
@@ -287,13 +224,8 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         }
         records.push(rec);
     }
-    // Worker completion order is scheduling-dependent; sort so the
-    // outcome is identical for any `--jobs` value.
-    let mut sanitizes = sanitizes.into_inner().expect("sanitize list poisoned");
     sanitizes.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut critpaths = critpaths.into_inner().expect("critpath list poisoned");
     critpaths.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut gauges = gauges.into_inner().expect("gauge list poisoned");
     gauges.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(SweepOutcome {
         executed: total,
@@ -303,9 +235,33 @@ pub fn sweep(matrix: &MatrixSpec, cfg: &SweepConfig) -> std::io::Result<SweepOut
         sanitizes,
         critpaths,
         dropped_lines: store.dropped_lines,
-        steals: metrics.steals,
         gauges,
     })
+}
+
+/// Writes the per-cell export files `cfg` asks for: attribution JSON,
+/// the Chrome trace and the critical-path trace. Every write is
+/// attempted; the first error is returned.
+fn export_cell(cfg: &SweepConfig, spec: &CellSpec, stats: &RunStats) -> std::io::Result<()> {
+    let attrib = cfg.attrib_dir.as_ref().map_or(Ok(()), |dir| {
+        write_cell_file(dir, spec, ".json", |label| {
+            scaling_study::report::attrib_json(label, stats)
+        })
+    });
+    let Some(dir) = &cfg.trace_dir else {
+        return attrib;
+    };
+    let trace = stats.trace.as_ref().map_or(Ok(()), |trace| {
+        write_cell_file(dir, spec, ".trace.json", |label| {
+            ccnuma_sim::trace::chrome_trace_file(&[(label.to_string(), trace)])
+        })
+    });
+    let critpath = stats.critpath.as_ref().map_or(Ok(()), |rep| {
+        write_cell_file(dir, spec, ".critpath.json", |label| {
+            rep.to_chrome_json(label)
+        })
+    });
+    attrib.and(trace).and(critpath)
 }
 
 /// File-name-safe form of a cell label (`fft/orig[2]/4p` →

@@ -1,236 +1,111 @@
-//! A std-only work-stealing thread pool for coarse-grained tasks.
+//! The sweep's two schedulers, each over one shared queue: [`run`]
+//! fans a fixed batch out over scoped workers and joins, and
+//! [`TaskQueue`] serves tasks that a server pushes while it lives.
 //!
-//! Each worker owns a deque of task indices; it pops from the front of
-//! its own deque and, when empty, steals the back half of the fullest
-//! victim's deque. Tasks here are whole simulations (milliseconds to
-//! minutes), so the scheduling overhead of mutex-protected deques is
-//! noise — what matters is that a worker never idles while another has
-//! a backlog, which stealing half-batches guarantees.
+//! Tasks here are whole simulations (milliseconds to minutes), so one
+//! queue shared by every worker costs nothing measurable, and no worker
+//! idles while work is queued. It also keeps the caller's order: items
+//! start in index order and tasks in push order, which is what lets the
+//! sweep's longest-first sort shorten the tail.
 //!
 //! Results come back in item order regardless of execution
 //! interleaving, so parallel sweeps are deterministic end to end.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Counters describing one pool run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolMetrics {
-    /// Number of successful steal operations (batches, not items).
-    pub steals: u64,
     /// Worker threads actually spawned.
     pub workers: usize,
 }
 
-/// Worker slots tracked individually by the live counters; workers
-/// beyond this fold onto slot `w % LIVE_WORKERS`.
-pub const LIVE_WORKERS: usize = 16;
+/// Tasks completed by either scheduler across the process, so an
+/// external observer can watch a sweep or the daemon progress.
+/// Write-only from the pool's side.
+pub static LIVE_TASKS_DONE: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide live pool activity, updated as tasks complete and
-/// steals happen so an external observer can watch scheduling while a
-/// sweep runs. Write-only from the pool's side.
-#[derive(Debug)]
-pub struct PoolLive {
-    /// Tasks completed (across every pool run in the process).
-    pub tasks_done: AtomicU64,
-    /// Successful steal batches.
-    pub steals: AtomicU64,
-    /// Steal batches per worker slot.
-    pub worker_steals: [AtomicU64; LIVE_WORKERS],
-}
-
-/// The process-wide pool counters.
-pub static LIVE: PoolLive = PoolLive {
-    tasks_done: AtomicU64::new(0),
-    steals: AtomicU64::new(0),
-    worker_steals: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-};
-
-/// Runs `f` over every item on `jobs` worker threads with work
-/// stealing; returns the results in item order plus scheduling
-/// metrics. `jobs` is clamped to `1..=items.len()`; `jobs <= 1` or a
-/// single item degenerates to an in-place serial loop (no threads).
+/// Runs `f` over every item on `jobs` worker threads that take items
+/// from one shared cursor, so items start in index order; returns the
+/// results in item order plus scheduling metrics. `jobs` is clamped to
+/// `1..=items.len()`; `jobs <= 1` or a single item degenerates to an
+/// in-place serial loop (no threads).
 pub fn run<T, R, F>(items: &[T], jobs: usize, f: F) -> (Vec<R>, PoolMetrics)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
 {
-    let n = items.len();
-    let jobs = jobs.clamp(1, n.max(1));
-    if jobs <= 1 {
-        return (
-            items
-                .iter()
-                .map(|it| {
-                    let r = f(it);
-                    LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
-                    r
-                })
-                .collect(),
-            PoolMetrics {
-                steals: 0,
-                workers: 1,
-            },
-        );
-    }
-
-    // Round-robin initial distribution; stealing corrects any imbalance.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..n).step_by(jobs).collect()))
-        .collect();
-    let remaining = AtomicUsize::new(n);
-    let steals = AtomicU64::new(0);
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            let queues = &queues;
-            let remaining = &remaining;
-            let steals = &steals;
-            let slots = &slots;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                loop {
-                    let idx = pop_or_steal(queues, w, steals);
-                    match idx {
-                        Some(i) => {
-                            // Count the item done even if `f` panics —
-                            // otherwise `remaining` never reaches zero and
-                            // the idle workers spin forever instead of
-                            // letting the panic propagate through join().
-                            struct Done<'a>(&'a AtomicUsize);
-                            impl Drop for Done<'_> {
-                                fn drop(&mut self) {
-                                    self.0.fetch_sub(1, Ordering::SeqCst);
-                                    LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            let _done = Done(remaining);
-                            let r = f(&items[i]);
-                            **slots[i].lock().expect("result slot lock poisoned") = Some(r);
-                        }
-                        None => {
-                            if remaining.load(Ordering::SeqCst) == 0 {
-                                return;
-                            }
-                            // Another worker holds the tail of the queue;
-                            // its items may yet fail and need no help.
-                            std::thread::yield_now();
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                    }
-                }
-            }));
+    let jobs = jobs.clamp(1, items.len().max(1));
+    let next = AtomicUsize::new(0);
+    // One worker's share: the items it took, each with its index.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+            LIVE_TASKS_DONE.fetch_add(1, Ordering::Relaxed);
         }
-        for h in handles {
-            h.join().expect("pool worker panicked");
-        }
-    });
-    drop(slots);
-
-    let collected: Vec<R> = results
-        .into_iter()
-        .map(|r| r.expect("worker completed without storing a result"))
-        .collect();
+    };
+    let shares = if jobs == 1 {
+        vec![work()]
+    } else {
+        // A panicking item ends its worker; the others drain the cursor
+        // and the panic reaches the caller through join().
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..jobs).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("pool worker panicked"))
+                .collect()
+        })
+    };
+    let mut results: Vec<(usize, R)> = shares.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
     (
-        collected,
-        PoolMetrics {
-            steals: steals.load(Ordering::SeqCst),
-            workers: jobs,
-        },
+        results.into_iter().map(|(_, r)| r).collect(),
+        PoolMetrics { workers: jobs },
     )
-}
-
-/// Pops from worker `w`'s own deque, or steals the back half of the
-/// currently fullest other deque. Generic over the item so the batch
-/// pool (index tasks) and the persistent [`TaskQueue`] (boxed closures)
-/// share one stealing discipline.
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], w: usize, steals: &AtomicU64) -> Option<T> {
-    if let Some(i) = queues[w].lock().expect("queue lock poisoned").pop_front() {
-        return Some(i);
-    }
-    // Pick the victim with the longest queue at a glance, then take the
-    // back half of whatever it still holds under the lock.
-    let victim = queues
-        .iter()
-        .enumerate()
-        .filter(|&(v, _)| v != w)
-        .map(|(v, q)| (v, q.lock().expect("queue lock poisoned").len()))
-        .max_by_key(|&(_, len)| len)?;
-    if victim.1 == 0 {
-        return None;
-    }
-    let mut vq = queues[victim.0].lock().expect("queue lock poisoned");
-    if vq.is_empty() {
-        return None;
-    }
-    // Owner keeps the front half; a lone item is taken whole so it can't
-    // sit unexecuted behind a busy owner.
-    let keep = vq.len() / 2;
-    let mut stolen: VecDeque<T> = vq.split_off(keep);
-    drop(vq);
-    let first = stolen.pop_front();
-    if first.is_some() {
-        steals.fetch_add(1, Ordering::SeqCst);
-        LIVE.steals.fetch_add(1, Ordering::Relaxed);
-        LIVE.worker_steals[w % LIVE_WORKERS].fetch_add(1, Ordering::Relaxed);
-        if !stolen.is_empty() {
-            let mut own = queues[w].lock().expect("queue lock poisoned");
-            own.extend(stolen);
-        }
-    }
-    first
 }
 
 /// A unit of work for the persistent [`TaskQueue`].
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-struct QueueInner {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Sleep gate: workers with nothing to pop or steal wait here;
-    /// every push notifies. Pushes mutate `queued` *under* the gate so
-    /// a worker cannot check-then-sleep across a concurrent push.
-    gate: Mutex<()>,
-    wake: std::sync::Condvar,
-    stop: std::sync::atomic::AtomicBool,
-    queued: AtomicUsize,
-    running: AtomicUsize,
-    panics: AtomicU64,
-    next: AtomicUsize,
-    steals: AtomicU64,
+/// Everything the queue's workers share, under one lock.
+#[derive(Default)]
+struct QueueState {
+    tasks: VecDeque<Task>,
+    stop: bool,
+    running: usize,
+    panics: u64,
 }
 
-/// A long-lived work-stealing pool for a server: unlike [`run`], which
-/// fans out one fixed batch and joins, tasks arrive continuously
+#[derive(Default)]
+struct Shared {
+    state: Mutex<QueueState>,
+    /// Signalled on every push and on shutdown; workers wait on it
+    /// while the queue is empty.
+    wake: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("task queue lock poisoned")
+    }
+}
+
+/// A long-lived pool for a server: unlike [`run`], which fans out one
+/// fixed batch and joins, tasks arrive continuously
 /// ([`TaskQueue::push`]) and workers live until [`TaskQueue::shutdown`].
-/// Distribution is round-robin across per-worker deques with the same
-/// steal-back-half discipline as the batch pool; a panicking task is
-/// isolated (counted, worker survives).
+/// Workers take tasks from one shared queue in push order; a panicking
+/// task is isolated (counted, worker survives).
 pub struct TaskQueue {
-    inner: std::sync::Arc<QueueInner>,
+    shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -248,130 +123,85 @@ impl std::fmt::Debug for TaskQueue {
 impl TaskQueue {
     /// Spawns `workers` (at least one) idle worker threads.
     pub fn start(workers: usize) -> TaskQueue {
-        let workers = workers.max(1);
-        let inner = std::sync::Arc::new(QueueInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(()),
-            wake: std::sync::Condvar::new(),
-            stop: std::sync::atomic::AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
-            panics: AtomicU64::new(0),
-            next: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
+        let shared = Arc::new(Shared::default());
+        let handles = (0..workers.max(1))
             .map(|w| {
-                let inner = std::sync::Arc::clone(&inner);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("taskq-{w}"))
-                    .spawn(move || worker_loop(&inner, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn task-queue worker")
             })
             .collect();
         TaskQueue {
-            inner,
+            shared,
             workers: Mutex::new(handles),
         }
     }
 
-    /// Enqueues one task (round-robin). Pushed after shutdown began the
+    /// Enqueues one task at the back. Pushed after shutdown began the
     /// task is silently dropped with the rest of the backlog.
     pub fn push(&self, task: Task) {
-        let inner = &self.inner;
-        let w = inner.next.fetch_add(1, Ordering::Relaxed) % inner.queues.len();
-        let _gate = inner.gate.lock().expect("task queue gate poisoned");
-        inner.queues[w]
-            .lock()
-            .expect("task queue deque poisoned")
-            .push_back(task);
-        inner.queued.fetch_add(1, Ordering::SeqCst);
-        inner.wake.notify_all();
+        self.shared.lock().tasks.push_back(task);
+        self.shared.wake.notify_one();
     }
 
     /// Tasks enqueued but not yet picked up.
     pub fn queued(&self) -> usize {
-        self.inner.queued.load(Ordering::SeqCst)
+        self.shared.lock().tasks.len()
     }
 
     /// Tasks currently executing on a worker.
     pub fn running(&self) -> usize {
-        self.inner.running.load(Ordering::SeqCst)
+        self.shared.lock().running
     }
 
     /// Tasks that panicked (isolated; their worker kept serving).
     pub fn task_panics(&self) -> u64 {
-        self.inner.panics.load(Ordering::SeqCst)
-    }
-
-    /// Successful steal batches since start.
-    pub fn steals(&self) -> u64 {
-        self.inner.steals.load(Ordering::SeqCst)
+        self.shared.lock().panics
     }
 
     /// Stops the workers and joins them: tasks already *running* finish
     /// normally, tasks still queued are dropped. Returns how many were
     /// dropped. Idempotent — a second call returns 0.
     pub fn shutdown(&self) -> usize {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _gate = self.inner.gate.lock().expect("task queue gate poisoned");
-            self.inner.wake.notify_all();
-        }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("task queue worker list poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
+        self.shared.lock().stop = true;
+        self.shared.wake.notify_all();
+        let workers = std::mem::take(&mut *self.workers.lock().expect("worker list poisoned"));
+        for h in workers {
             let _ = h.join();
         }
-        let mut dropped = 0;
-        for q in &self.inner.queues {
-            dropped += q
-                .lock()
-                .expect("task queue deque poisoned")
-                .drain(..)
-                .count();
-        }
-        self.inner.queued.fetch_sub(dropped, Ordering::SeqCst);
-        dropped
+        // Drop the backlog outside the lock: a task's captures may
+        // have drop glue of their own.
+        let backlog = std::mem::take(&mut self.shared.lock().tasks);
+        backlog.len()
     }
 }
 
-fn worker_loop(inner: &QueueInner, w: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
-        // Check stop *before* popping: shutdown drops the backlog (and
-        // reports it) instead of racing the join to drain it.
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match pop_or_steal(&inner.queues, w, &inner.steals) {
-            Some(task) => {
-                inner.queued.fetch_sub(1, Ordering::SeqCst);
-                inner.running.fetch_add(1, Ordering::SeqCst);
-                // Isolate panics: one poisoned cell must not take the
-                // worker (and eventually the whole queue) down with it.
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                if res.is_err() {
-                    inner.panics.fetch_add(1, Ordering::SeqCst);
-                }
-                inner.running.fetch_sub(1, Ordering::SeqCst);
-                LIVE.tasks_done.fetch_add(1, Ordering::Relaxed);
+        let task = {
+            let mut st = shared
+                .wake
+                .wait_while(shared.lock(), |st| !st.stop && st.tasks.is_empty())
+                .expect("task queue lock poisoned");
+            // Stop wins over a non-empty queue: shutdown drops the
+            // backlog (and reports it) instead of racing the join to
+            // drain it.
+            if st.stop {
+                return;
             }
-            None => {
-                let gate = inner.gate.lock().expect("task queue gate poisoned");
-                if inner.queued.load(Ordering::SeqCst) == 0 && !inner.stop.load(Ordering::SeqCst) {
-                    // Bounded wait: a steal-eligible task can appear
-                    // without a notify reaching us (requeued batches),
-                    // so wake periodically regardless.
-                    let _ = inner
-                        .wake
-                        .wait_timeout(gate, std::time::Duration::from_millis(50));
-                }
-            }
-        }
+            st.running += 1;
+            st.tasks.pop_front().expect("woken with a task queued")
+        };
+        // Isolate panics: one poisoned cell must not take the worker
+        // (and eventually the whole queue) down with it.
+        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_ok();
+        let mut st = shared.lock();
+        st.running -= 1;
+        st.panics += u64::from(!ok);
+        drop(st);
+        LIVE_TASKS_DONE.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -410,22 +240,34 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_the_backlogged_one() {
-        // Round-robin over 2 workers: w0 gets {0, 2}, w1 gets {1, 3}.
-        // Item 0 pins w0 for a while; w1 races through its two items and
-        // must steal item 2 off w0's deque to finish early.
+    fn idle_workers_drain_the_backlog_behind_a_slow_item() {
+        // Item 0 pins one worker for a while; the other must run every
+        // quick item meanwhile, so none waits behind the slow one and
+        // the slow one finishes last.
         let items: Vec<u64> = vec![80, 0, 0, 0];
-        let concurrent_max = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        let (out, m) = run(&items, 2, |&ms| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            concurrent_max.fetch_max(now, Ordering::SeqCst);
+        let finished = Mutex::new(Vec::new());
+        let (out, _) = run(&items, 2, |&ms| {
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            live.fetch_sub(1, Ordering::SeqCst);
+            finished.lock().unwrap().push(ms);
             ms
         });
         assert_eq!(out, items);
-        assert!(m.steals >= 1, "expected at least one steal, got {m:?}");
+        assert_eq!(finished.into_inner().unwrap(), [0, 0, 0, 80]);
+    }
+
+    #[test]
+    fn items_start_in_index_order() {
+        // Item 0 pins one worker; the other must take the quick items
+        // in index order, so a longest-first sort by the caller holds.
+        let items: Vec<(usize, u64)> = [80, 0, 0, 0, 0, 0].into_iter().enumerate().collect();
+        let started = Mutex::new(Vec::new());
+        run(&items, 2, |&(i, ms)| {
+            if ms == 0 {
+                started.lock().unwrap().push(i);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        });
+        assert_eq!(started.into_inner().unwrap(), [1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -544,27 +386,45 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_workers_steal_a_backlog() {
-        // Two workers, round-robin push: pin worker 0 with a slow task,
-        // then push enough quick tasks that some land on its deque;
-        // worker 1 must steal them rather than idle.
+    fn task_queue_starts_tasks_in_push_order() {
+        // Task 0 pins one worker; the other must start the rest in the
+        // order they were pushed.
         let q = TaskQueue::start(2);
-        let done = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(Mutex::new(Vec::new()));
         for i in 0..32 {
-            let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
+            q.push(Box::new(move || match i {
+                0 => std::thread::sleep(Duration::from_millis(80)),
+                _ => started.lock().unwrap().push(i),
+            }));
+        }
+        assert!(wait_until(5000, || started.lock().unwrap().len() == 31));
+        q.shutdown();
+        assert_eq!(*started.lock().unwrap(), (1..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn task_queue_workers_drain_a_backlog_behind_a_slow_task() {
+        // Two workers: a slow task pins one while quick tasks pile up;
+        // the other must run them all rather than leave any behind the
+        // slow one, so the slow task finishes last.
+        let q = TaskQueue::start(2);
+        let finished = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..32 {
+            let finished = Arc::clone(&finished);
             q.push(Box::new(move || {
                 if i == 0 {
                     std::thread::sleep(Duration::from_millis(80));
                 }
-                done.fetch_add(1, Ordering::SeqCst);
+                finished.lock().unwrap().push(i);
             }));
         }
         assert!(
-            wait_until(5000, || done.load(Ordering::SeqCst) == 32),
-            "all tasks completed: {}",
-            done.load(Ordering::SeqCst)
+            wait_until(5000, || finished.lock().unwrap().len() == 32),
+            "all tasks completed: {:?}",
+            finished.lock().unwrap()
         );
-        assert!(q.steals() >= 1, "expected at least one steal");
+        assert_eq!(finished.lock().unwrap().last(), Some(&0));
         q.shutdown();
     }
 }
